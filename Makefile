@@ -36,24 +36,27 @@ faults:
 # a `patty serve` instance SIGKILLed with a job in flight must both
 # resume from their snapshots and converge to the same best
 # configuration as an uninterrupted run, with zero leaked goroutines;
-# plus the supervisor/breaker storm tests and the checkpoint
-# corruption sweep. Budgeted well under 60s.
+# plus the supervisor/breaker storm tests, the search-identity
+# regressions (a checkpoint never resumes across objectives), the
+# golden snapshot and the frame codec and checkpoint corruption sweeps.
+# Budgeted well under 60s.
 chaos:
 	$(GO) test -race -count=1 -timeout 60s \
-		-run 'KillRestart|ServeChaos|FuzzCheckpoint|Storm|Breaker|CheckpointResume|CorruptionEveryOffset' \
+		-run 'KillRestart|ServeChaos|FuzzCheckpoint|Storm|Breaker|CheckpointResume|CorruptionEveryOffset|CoversObjective|DifferingInFaultSeed|GoldenSnapshot' \
 		./cmd/patty/ ./internal/jobs/ ./internal/tuning/ ./internal/checkpoint/
 
 # serve-chaos is the durable-serve gate: a `patty serve -store-dir`
 # instance SIGKILLed under concurrent multi-tenant traffic must
 # recover every acknowledged job exactly once on restart (finished
 # jobs restored from the WAL, interrupted searches resumed from their
-# snapshots); the WAL itself survives a bit-flip/truncation sweep at
-# every offset; and the multi-tenant load smoke must hold the
-# fair-share gate under -race.
+# snapshots); the WAL's frame codec survives a bit-flip/truncation
+# sweep at every offset and a WAL written by an older build still
+# opens; and the multi-tenant load smoke must hold the fair-share gate
+# under -race.
 serve-chaos:
 	$(GO) test -race -count=1 -timeout 120s \
-		-run 'TrafficChaos|StoreRecovery|Quota429|TenantF|WALCorruptionEveryOffset|TornTail' \
-		./cmd/patty/ ./internal/store/ ./internal/jobs/
+		-run 'TrafficChaos|StoreRecovery|Quota429|TenantF|FrameCorruptionEveryOffset|TornTail|GoldenWAL' \
+		./cmd/patty/ ./internal/store/ ./internal/jobs/ ./internal/checkpoint/
 	$(GO) run -race ./cmd/patty servebench -smoke
 
 # cachechaos is the evaluation-store gate: a `patty serve -cache-dir`
@@ -61,13 +64,14 @@ serve-chaos:
 # recover the store on restart (torn tail truncated, corrupt segments
 # quarantined — never a wrong hit), answer a third tenant's duplicate
 # job byte-identically from the store, and converge the resubmitted
-# search to the same best as a cache-free run; plus the segment
-# corruption sweep, the canonical-hash invariance suite, and the
-# warm-vs-cold bit-identity gates, all under -race.
+# search to the same best as a cache-free run; plus the frame codec
+# and store-open corruption sweeps, the golden segment, the
+# canonical-hash invariance suite, and the warm-vs-cold bit-identity
+# gates, all under -race.
 cachechaos:
 	$(GO) test -race -count=1 -timeout 120s \
-		-run 'CacheChaos|WarmCache|SegmentCorruption|StoreOpenCorruption|ProgramHash|CacheResume|AnalyzeCache|CacheTable|JobCacheKey|CacheIdentity|ServeJobMemoization' \
-		./cmd/patty/ ./internal/evalcache/ ./internal/fleet/ ./internal/obs/ ./internal/report/
+		-run 'CacheChaos|WarmCache|FrameCorruption|StoreOpenCorruption|GoldenSegment|ProgramHash|CacheResume|AnalyzeCache|CacheTable|JobCacheKey|CacheIdentity|ServeJobMemoization' \
+		./cmd/patty/ ./internal/evalcache/ ./internal/checkpoint/ ./internal/fleet/ ./internal/obs/ ./internal/report/
 
 # bench-serve refreshes BENCH_serve.json: the skewed multi-tenant load
 # harness (one hog tenant at 10x concurrency) against an in-process
@@ -101,12 +105,13 @@ fleet:
 # produce a result bit-identical to the uninterrupted local run, with
 # zero leaked goroutines, all under -race. The satellite suites ride
 # along: Retry-After honoring, jitter properties, Content-Length
-# mismatch rejection, and the WAL decode edge cases.
+# mismatch rejection, the WAL decode edge cases and the frame codec
+# corruption sweep.
 netchaos:
 	$(GO) test -race -count=1 -timeout 180s ./internal/netchaos/
 	$(GO) test -race -count=1 -timeout 180s \
-		-run 'NetChaos|Byzantine|CrossCheck|CostsAgree|PickSample|PeerKey|RetryAfter|ContentLength|Jitter|CheckpointCorrect|DecodeWALEdge|FleetTableHostile|AnalyzeFleetHostile' \
-		./internal/fleet/ ./internal/jobs/ ./internal/store/ ./internal/tuning/ ./internal/obs/ ./internal/report/ ./cmd/patty/
+		-run 'NetChaos|Byzantine|CrossCheck|CostsAgree|PickSample|PeerKey|RetryAfter|ContentLength|Jitter|CheckpointCorrect|DecodeWALEdge|FrameCorruptionEveryOffset|FleetTableHostile|AnalyzeFleetHostile' \
+		./internal/fleet/ ./internal/jobs/ ./internal/store/ ./internal/checkpoint/ ./internal/tuning/ ./internal/obs/ ./internal/report/ ./cmd/patty/
 
 # vm is the bytecode-engine gate: the VM must stay bit-identical to
 # the tree-walking oracle — engine equivalence and golden-disassembly

@@ -186,7 +186,7 @@ func TestServeChaosKillRestart(t *testing.T) {
 	if _, code := postJob(t, base1, jobBody); code != http.StatusAccepted {
 		t.Fatalf("submit: HTTP %d", code)
 	}
-	ckpt := filepath.Join(ckptDir, "tune-tabu-b120-c8.ckpt")
+	ckpt := filepath.Join(ckptDir, spec.withDefaults().checkpointName())
 	waitForEvals(t, ckpt, 3, 30*time.Second)
 	if err := srv1.Process.Kill(); err != nil { // kill -9 mid-search
 		t.Fatal(err)

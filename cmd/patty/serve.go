@@ -147,7 +147,8 @@ func (s *server) memoize(req jobRequest, run jobs.Runner) jobs.Runner {
 // runnerFor translates a validated request into the job's Runner and
 // the resume-checkpoint path it will use (journaled as a
 // checkpoint-ref record). Checkpoint paths default into
-// -checkpoint-dir, derived deterministically from the job parameters,
+// -checkpoint-dir, derived deterministically from the job parameters
+// (a tune job's from its full search identity, tuneSpec.checkpointName),
 // so a recovered job after a crash re-attaches to the same snapshot —
 // the tuner resumes its search instead of restarting it. With a store
 // attached, deterministic jobs are additionally memoized whole (see
@@ -167,8 +168,7 @@ func (s *server) buildRunner(req jobRequest) (jobs.Runner, string, error) {
 	case "tune":
 		spec := req.tuneSpec.withDefaults()
 		if spec.Checkpoint == "" && s.ckptDir != "" {
-			spec.Checkpoint = filepath.Join(s.ckptDir,
-				fmt.Sprintf("tune-%s-b%d-c%d.ckpt", spec.Algo, spec.Budget, spec.Cores))
+			spec.Checkpoint = filepath.Join(s.ckptDir, spec.checkpointName())
 		}
 		if s.cache != nil {
 			// Even when the whole job misses (say, a different budget),

@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
@@ -182,6 +183,25 @@ func (s tuneSpec) cacheIdentity() (string, int64) {
 	return h, s.FaultSeed
 }
 
+// searchMeta is the identity of the search this spec runs: tuner,
+// budget, space and objective. Its objective is the cache address
+// (cacheIdentity), so the checkpoint journal, serve's checkpoint file
+// name and the evaluation cache all name a search the same way.
+func (s tuneSpec) searchMeta() tuning.SearchMeta {
+	dims, start, _ := tuneWorkload(s.Cores)
+	return tuning.SearchMeta{Algo: s.Algo, Budget: s.Budget, Dims: dims, Start: start,
+		Objective: tuning.ObjectiveID(s.cacheIdentity())}
+}
+
+// checkpointName is the file serve journals this spec's search to: a
+// digest of the search signature, so jobs that differ in anything that
+// shapes the answer never share a file, while a resubmitted or
+// recovered job re-attaches to its own.
+func (s tuneSpec) checkpointName() string {
+	sum := sha256.Sum256([]byte(s.searchMeta().Signature()))
+	return fmt.Sprintf("tune-%x.ckpt", sum[:8])
+}
+
 // openCache resolves the spec's evaluation store: the serve-injected
 // shared one (no-op closer — the server owns its lifetime), a private
 // one opened from CacheDir, or none.
@@ -300,9 +320,8 @@ func runTune(ctx context.Context, spec tuneSpec) (*tuneOutcome, error) {
 
 	var ck *tuning.Checkpointer
 	if spec.Checkpoint != "" {
-		meta := tuning.SearchMeta{Algo: spec.Algo, Budget: spec.Budget, Dims: dims, Start: start}
 		var err error
-		ck, _, err = tuning.NewCheckpointer(spec.Checkpoint, meta)
+		ck, _, err = tuning.NewCheckpointer(spec.Checkpoint, spec.searchMeta())
 		if err != nil {
 			return nil, err
 		}
@@ -378,10 +397,9 @@ func runFleetTune(ctx context.Context, spec tuneSpec) (*tuneOutcome, error) {
 		CrossCheck:       spec.CrossCheck,
 		LeaseTTL:         time.Duration(spec.LeaseTTLMs) * time.Millisecond,
 	}
+	fopts.Program, fopts.Seed = spec.cacheIdentity()
 	if cache != nil {
-		prog, cseed := spec.cacheIdentity()
-		fopts.Cache, fopts.CacheProgram, fopts.CacheSeed = cache, prog, cseed
-		fopts.CacheTenant = spec.cacheTenant
+		fopts.Cache, fopts.CacheTenant = cache, spec.cacheTenant
 	}
 	res, st, err := fleet.Tune(ctx, tn, dims, start, spec.Budget, fopts)
 	if err != nil {

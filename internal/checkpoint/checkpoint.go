@@ -1,4 +1,6 @@
-// Package checkpoint persists crash-safe snapshots of long-running
+// Package checkpoint owns the repo's durability primitives: the CRC
+// frame codec every durable file is built from (frame.go), the atomic
+// write and fsync helpers, and crash-safe snapshots of long-running
 // work — tuner search state, fuzzing-sweep progress, measured study
 // outcomes — so a process killed mid-run (SIGKILL included) resumes
 // exactly where it stopped instead of restarting from zero.
@@ -10,10 +12,11 @@
 // previous complete snapshot or the new complete snapshot, never a
 // torn mix — the invariant the kill-and-restart harness depends on.
 //
-// The on-disk format is versioned and self-checksummed:
+// A snapshot is one frame with the magic line "pattyckpt\n", no
+// trailing newline, spanning the whole file:
 //
 //	pattyckpt\n
-//	<crc32c-hex> <payload-length>\n
+//	<crc32c-hex8> <payload-length>\n
 //	<payload bytes>            (JSON: {"version":1,"kind":...,"data":...})
 //
 // The CRC covers the whole payload, so any truncation, bit flip or
@@ -23,23 +26,17 @@
 package checkpoint
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"os"
-	"path/filepath"
-	"strconv"
-	"strings"
 )
 
 // Version is the current snapshot format version.
 const Version = 1
 
 // magic is the first line of every snapshot file.
-const magic = "pattyckpt"
+const magic = "pattyckpt\n"
 
 var (
 	// ErrCorruptCheckpoint marks a snapshot that is truncated, bit-
@@ -60,9 +57,6 @@ type envelope struct {
 	Data    json.RawMessage `json:"data"`
 }
 
-// castagnoli is the CRC-32C table (same polynomial iSCSI/ext4 use).
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
 // Encode renders a snapshot to its on-disk byte form.
 func Encode(kind string, v any) ([]byte, error) {
 	data, err := json.Marshal(v)
@@ -73,42 +67,18 @@ func Encode(kind string, v any) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: marshal envelope: %w", err)
 	}
-	var b bytes.Buffer
-	fmt.Fprintf(&b, "%s\n%08x %d\n", magic, crc32.Checksum(payload, castagnoli), len(payload))
-	b.Write(payload)
-	return b.Bytes(), nil
+	return appendFrame(nil, magic, payload), nil
 }
 
 // Decode parses bytes produced by Encode into v, enforcing magic,
 // version, checksum, exact length and kind.
 func Decode(raw []byte, kind string, v any) error {
-	rest, ok := bytes.CutPrefix(raw, []byte(magic+"\n"))
-	if !ok {
-		return fmt.Errorf("%w: bad magic", ErrCorruptCheckpoint)
-	}
-	nl := bytes.IndexByte(rest, '\n')
-	if nl < 0 {
-		return fmt.Errorf("%w: truncated header", ErrCorruptCheckpoint)
-	}
-	header, payload := string(rest[:nl]), rest[nl+1:]
-	fields := strings.Fields(header)
-	if len(fields) != 2 {
-		return fmt.Errorf("%w: malformed header %q", ErrCorruptCheckpoint, header)
-	}
-	wantSum, err := strconv.ParseUint(fields[0], 16, 32)
+	payload, n, err := readFrame(raw, magic, "")
 	if err != nil {
-		return fmt.Errorf("%w: bad checksum field", ErrCorruptCheckpoint)
+		return fmt.Errorf("%w: %w", ErrCorruptCheckpoint, err)
 	}
-	wantLen, err := strconv.Atoi(fields[1])
-	if err != nil || wantLen < 0 {
-		return fmt.Errorf("%w: bad length field", ErrCorruptCheckpoint)
-	}
-	if len(payload) != wantLen {
-		return fmt.Errorf("%w: payload is %d byte(s), header says %d",
-			ErrCorruptCheckpoint, len(payload), wantLen)
-	}
-	if got := crc32.Checksum(payload, castagnoli); got != uint32(wantSum) {
-		return fmt.Errorf("%w: checksum %08x, want %08x", ErrCorruptCheckpoint, got, wantSum)
+	if n != len(raw) {
+		return fmt.Errorf("%w: %d byte(s) past the frame", ErrCorruptCheckpoint, len(raw)-n)
 	}
 	var env envelope
 	if err := json.Unmarshal(payload, &env); err != nil {
@@ -135,45 +105,14 @@ func Save(path, kind string, v any) error {
 	if err != nil {
 		return err
 	}
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(raw); err != nil {
-		tmp.Close()
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	// Persist the rename itself; best-effort where the platform does
-	// not support fsync on directories.
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
-	}
-	return nil
+	return WriteFileAtomic(path, raw)
 }
 
 // Load reads the snapshot at path into v. A missing file reports
 // fs.ErrNotExist (check with os.IsNotExist / errors.Is); any damaged
 // file reports ErrCorruptCheckpoint.
 func Load(path, kind string, v any) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	defer f.Close()
-	raw, err := io.ReadAll(f)
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
 	}

@@ -2,7 +2,6 @@ package evalcache
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -18,91 +17,6 @@ func sweepEntry(i int) Entry {
 		Cost:    float64(i) * 1.5,
 		Tenant:  "t1",
 	}
-}
-
-// TestSegmentCorruptionEveryOffset mirrors the serve WAL's sweep: flip
-// one byte at every offset of a multi-entry segment image, and
-// separately truncate at every length. Decoding must never panic, must
-// classify the damage with a typed error, and must recover exactly the
-// entries that are fully intact before the damaged byte — never a
-// partial or altered entry, because a wrong cache hit would silently
-// poison every search that shares the key.
-func TestSegmentCorruptionEveryOffset(t *testing.T) {
-	var img []byte
-	var ends []int // byte offset just past entry i
-	n := 4
-	for i := 1; i <= n; i++ {
-		frame, err := EncodeEntry(sweepEntry(i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		img = append(img, frame...)
-		ends = append(ends, len(img))
-	}
-	intactBefore := func(off int) int {
-		k := 0
-		for _, e := range ends {
-			if e <= off {
-				k++
-			}
-		}
-		return k
-	}
-	if entries, vl, err := DecodeSegment(img); err != nil || len(entries) != n || vl != len(img) {
-		t.Fatalf("clean image: %d entries, validLen %d, err %v", len(entries), vl, err)
-	}
-
-	t.Run("flip", func(t *testing.T) {
-		for off := 0; off < len(img); off++ {
-			mut := bytes.Clone(img)
-			mut[off] ^= 0xff
-			entries, validLen, err := DecodeSegment(mut)
-			if err == nil {
-				t.Fatalf("flip at %d: damage not detected", off)
-			}
-			if !errors.Is(err, ErrCorruptSegment) && !errors.Is(err, ErrTornTail) {
-				t.Fatalf("flip at %d: untyped error %v", off, err)
-			}
-			want := intactBefore(off)
-			if len(entries) != want {
-				t.Fatalf("flip at %d: recovered %d entries, want %d (err %v)", off, len(entries), want, err)
-			}
-			if validLen > off {
-				t.Fatalf("flip at %d: validLen %d reaches past the damage", off, validLen)
-			}
-			for i, e := range entries {
-				if !sameEntry(e, sweepEntry(i+1)) {
-					t.Fatalf("flip at %d: recovered entry %d is %+v", off, i, e)
-				}
-			}
-		}
-	})
-
-	t.Run("truncate", func(t *testing.T) {
-		for cut := 0; cut <= len(img); cut++ {
-			entries, validLen, err := DecodeSegment(img[:cut])
-			want := intactBefore(cut)
-			if len(entries) != want {
-				t.Fatalf("truncate at %d: recovered %d entries, want %d (err %v)", cut, len(entries), want, err)
-			}
-			if validLen > cut {
-				t.Fatalf("truncate at %d: validLen %d past the cut", cut, validLen)
-			}
-			atBoundary := cut == 0
-			for _, e := range ends {
-				if e == cut {
-					atBoundary = true
-				}
-			}
-			if atBoundary {
-				if err != nil {
-					t.Fatalf("truncate at boundary %d: unexpected error %v", cut, err)
-				}
-			} else if !errors.Is(err, ErrTornTail) {
-				t.Fatalf("truncate at %d: want ErrTornTail, got %v", cut, err)
-			}
-		}
-	})
 }
 
 // sameEntry compares entries field-wise; Payload needs bytes.Equal.

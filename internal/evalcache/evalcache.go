@@ -5,8 +5,8 @@
 // prior submission answers from cache instead of re-running the
 // measurement — the cross-job memoization leg of ROADMAP item 2.
 //
-// Entries live in CRC-framed append-only segment files
-// (seg-NNNNNNNN.cas) sharing the frame discipline of the serve WAL: a
+// Entries live in append-only segment files (seg-NNNNNNNN.cas) of
+// internal/checkpoint frames, the codec the serve WAL uses too: a
 // SIGKILL at any byte leaves a segment whose maximal valid prefix is
 // recoverable. A torn tail is truncated and appending continues; a
 // segment damaged mid-file is quarantined (renamed aside) and its
@@ -37,6 +37,7 @@ import (
 	"strings"
 	"sync"
 
+	"patty/internal/checkpoint"
 	"patty/internal/obs"
 )
 
@@ -203,14 +204,14 @@ func Open(dir string, opts Options) (*Store, error) {
 		if err != nil {
 			return nil, err
 		}
-		entries, validLen, derr := DecodeSegment(raw)
+		entries, validLen, derr := checkpoint.DecodeFrames[Entry](segMagic, raw)
 		s.rec.Segments++
 		switch {
 		case derr == nil:
 			s.adopt(sf.seq, sf.path, entries, int64(validLen))
-		case isTorn(derr):
+		case errors.Is(derr, checkpoint.ErrTornTail):
 			// Expected crash damage: keep the valid prefix in place.
-			if err := truncateSync(sf.path, int64(validLen)); err != nil {
+			if err := checkpoint.TruncateSync(sf.path, int64(validLen)); err != nil {
 				return nil, err
 			}
 			s.rec.TornBytes += int64(len(raw) - validLen)
@@ -222,9 +223,7 @@ func Open(dir string, opts Options) (*Store, error) {
 			if err := os.Rename(sf.path, qpath); err != nil {
 				return nil, err
 			}
-			if err := syncDir(dir); err != nil {
-				return nil, err
-			}
+			checkpoint.SyncDir(dir)
 			s.corrupt.Inc()
 			s.rec.Quarantined = append(s.rec.Quarantined, filepath.Base(qpath))
 			reappend = append(reappend, entries...)
@@ -323,7 +322,7 @@ func (s *Store) Correct(e Entry) error {
 // as needed. Caller holds s.mu.
 func (s *Store) append(e Entry, overwrite bool) error {
 	k := e.Key().String()
-	frame, err := EncodeEntry(e)
+	frame, err := checkpoint.EncodeFrame(segMagic, e)
 	if err != nil {
 		return err
 	}
@@ -380,10 +379,7 @@ func (s *Store) rotate() error {
 	if err != nil {
 		return err
 	}
-	if err := syncDir(s.dir); err != nil {
-		f.Close()
-		return err
-	}
+	checkpoint.SyncDir(s.dir)
 	s.active = f
 	s.activeSeq = seq
 	s.segs[seq] = &segment{seq: seq, path: path}
@@ -502,9 +498,7 @@ func (s *Store) Compact() error {
 	for _, p := range q {
 		os.Remove(p)
 	}
-	if err := syncDir(s.dir); err != nil {
-		return err
-	}
+	checkpoint.SyncDir(s.dir)
 	s.publish()
 	return nil
 }
@@ -549,7 +543,7 @@ func VerifyDir(dir string) (VerifyReport, error) {
 		if err != nil {
 			return rep, err
 		}
-		entries, validLen, derr := DecodeSegment(raw)
+		entries, validLen, derr := checkpoint.DecodeFrames[Entry](segMagic, raw)
 		rep.Segments++
 		rep.Entries += len(entries)
 		rep.Bytes += int64(validLen)
@@ -596,30 +590,4 @@ func segmentFiles(dir string) ([]segFile, error) {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].seq < out[j].seq })
 	return out, nil
-}
-
-func isTorn(err error) bool { return errors.Is(err, ErrTornTail) }
-
-// truncateSync cuts a torn tail and makes the cut durable.
-func truncateSync(path string, n int64) error {
-	if err := os.Truncate(path, n); err != nil {
-		return err
-	}
-	f, err := os.OpenFile(path, os.O_WRONLY, 0)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return f.Sync()
-}
-
-// syncDir fsyncs a directory so renames and creations are durable —
-// the internal/checkpoint idiom: best-effort where the platform does
-// not support fsync on directories.
-func syncDir(dir string) error {
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
-	}
-	return nil
 }

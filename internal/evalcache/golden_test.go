@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"patty/internal/checkpoint"
 )
 
 // goldenSegment is the file whose frames goldenEntries lists. It was
@@ -36,7 +38,7 @@ func TestGoldenSegment(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := goldenEntries()
-	got, validLen, err := DecodeSegment(raw)
+	got, validLen, err := checkpoint.DecodeFrames[Entry](segMagic, raw)
 	if err != nil || validLen != len(raw) {
 		t.Fatalf("decode: validLen %d of %d, err %v", validLen, len(raw), err)
 	}
@@ -45,7 +47,7 @@ func TestGoldenSegment(t *testing.T) {
 	}
 	var enc []byte
 	for _, e := range want {
-		frame, err := EncodeEntry(e)
+		frame, err := checkpoint.EncodeFrame(segMagic, e)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,125 +1,6 @@
 package evalcache
 
-import (
-	"bytes"
-	"encoding/json"
-	"errors"
-	"fmt"
-	"hash/crc32"
-	"strconv"
-	"strings"
-)
-
-var (
-	// ErrCorruptSegment marks a cache frame whose bytes are all present
-	// but damaged (bad magic, bad header, checksum mismatch, malformed
-	// payload). Everything before it is trustworthy; it and everything
-	// after are not — the store quarantines the file rather than trust
-	// any entry past the damage.
-	ErrCorruptSegment = errors.New("evalcache: corrupt segment record")
-	// ErrTornTail marks a segment that ends mid-frame — the shape a
-	// crash during append leaves. Recovery truncates the tail and
-	// continues; it is expected damage, not corruption.
-	ErrTornTail = errors.New("evalcache: torn segment tail")
-)
-
-// segMagic opens every frame. The trailing space doubles as the field
-// separator of the header line.
+// segMagic opens every segment frame (internal/checkpoint's frame
+// codec). The trailing space doubles as the field separator of the
+// header line.
 const segMagic = "casrec "
-
-// maxHeader bounds the header-line scan: "casrec " + 8 hex + " " + a
-// length field no wider than 20 digits + "\n".
-const maxHeader = len(segMagic) + 8 + 1 + 20 + 1
-
-// castagnoli is CRC-32C, matching internal/checkpoint and the serve WAL.
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// EncodeEntry renders one frame:
-//
-//	casrec <crc32c-hex8> <payload-len>\n
-//	<payload bytes>\n
-//
-// The CRC covers the payload only; the framing fields are validated
-// structurally (hex width, decimal length, exact trailing newline), so
-// every byte of the frame participates in some check.
-func EncodeEntry(e Entry) ([]byte, error) {
-	payload, err := json.Marshal(e)
-	if err != nil {
-		return nil, fmt.Errorf("evalcache: marshal entry: %w", err)
-	}
-	var b bytes.Buffer
-	fmt.Fprintf(&b, "%s%08x %d\n", segMagic, crc32.Checksum(payload, castagnoli), len(payload))
-	b.Write(payload)
-	b.WriteByte('\n')
-	return b.Bytes(), nil
-}
-
-// DecodeSegment parses a segment image into its maximal valid entry
-// prefix. validLen is the byte offset just past the last good frame —
-// the truncation point recovery uses. err is nil for a clean segment,
-// ErrTornTail when the data simply ends mid-frame (crash during
-// append), and ErrCorruptSegment when bytes that are fully present
-// fail validation. In every case the returned entries are exactly the
-// valid prefix; damage never panics and never yields a partial entry —
-// and therefore never a wrong cache hit.
-func DecodeSegment(raw []byte) (entries []Entry, validLen int, err error) {
-	off := 0
-	for off < len(raw) {
-		rest := raw[off:]
-		// Frame magic. A proper prefix of the magic at end-of-data is a
-		// torn tail; a mismatch within available bytes is corruption.
-		if len(rest) < len(segMagic) {
-			if bytes.HasPrefix([]byte(segMagic), rest) {
-				return entries, off, fmt.Errorf("%w: %d byte(s) after offset %d", ErrTornTail, len(rest), off)
-			}
-			return entries, off, fmt.Errorf("%w: bad magic at offset %d", ErrCorruptSegment, off)
-		}
-		if !bytes.HasPrefix(rest, []byte(segMagic)) {
-			return entries, off, fmt.Errorf("%w: bad magic at offset %d", ErrCorruptSegment, off)
-		}
-		// Header line.
-		nl := bytes.IndexByte(rest, '\n')
-		if nl < 0 {
-			if len(rest) <= maxHeader {
-				return entries, off, fmt.Errorf("%w: unterminated header at offset %d", ErrTornTail, off)
-			}
-			return entries, off, fmt.Errorf("%w: runaway header at offset %d", ErrCorruptSegment, off)
-		}
-		if nl > maxHeader {
-			return entries, off, fmt.Errorf("%w: oversized header at offset %d", ErrCorruptSegment, off)
-		}
-		fields := strings.Fields(string(rest[len(segMagic):nl]))
-		if len(fields) != 2 || len(fields[0]) != 8 {
-			return entries, off, fmt.Errorf("%w: malformed header at offset %d", ErrCorruptSegment, off)
-		}
-		wantSum, herr := strconv.ParseUint(fields[0], 16, 32)
-		if herr != nil {
-			return entries, off, fmt.Errorf("%w: bad checksum field at offset %d", ErrCorruptSegment, off)
-		}
-		wantLen, herr := strconv.Atoi(fields[1])
-		if herr != nil || wantLen < 0 {
-			return entries, off, fmt.Errorf("%w: bad length field at offset %d", ErrCorruptSegment, off)
-		}
-		// Payload + trailing newline.
-		body := rest[nl+1:]
-		if len(body) < wantLen+1 {
-			return entries, off, fmt.Errorf("%w: frame at offset %d wants %d byte(s), has %d",
-				ErrTornTail, off, wantLen+1, len(body))
-		}
-		payload := body[:wantLen]
-		if body[wantLen] != '\n' {
-			return entries, off, fmt.Errorf("%w: unterminated frame at offset %d", ErrCorruptSegment, off)
-		}
-		if got := crc32.Checksum(payload, castagnoli); got != uint32(wantSum) {
-			return entries, off, fmt.Errorf("%w: checksum %08x, want %08x at offset %d",
-				ErrCorruptSegment, got, wantSum, off)
-		}
-		var e Entry
-		if jerr := json.Unmarshal(payload, &e); jerr != nil {
-			return entries, off, fmt.Errorf("%w: payload at offset %d: %v", ErrCorruptSegment, off, jerr)
-		}
-		entries = append(entries, e)
-		off += nl + 1 + wantLen + 1
-	}
-	return entries, off, nil
-}

@@ -104,14 +104,9 @@ func New(plan Plan) *Injector {
 }
 
 // roll derives the deterministic decision variable for (site, item,
-// salt) as a float in [0, 1).
+// salt) as a float in [0, 1) via seed.Roll.
 func (inj *Injector) roll(site string, item int, salt int64) float64 {
-	h := inj.plan.Seed
-	for _, b := range []byte(site) {
-		h = seed.Mix(h, int64(b))
-	}
-	v := uint64(seed.Mix(h, int64(item)*4+salt))
-	return float64(v>>11) / float64(1<<53)
+	return seed.Roll(inj.plan.Seed, site, int64(item)*4+salt)
 }
 
 // Enter is called at the top of an instrumented stage/work function,

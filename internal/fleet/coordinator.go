@@ -68,17 +68,22 @@ type Options struct {
 	// http.DefaultClient). A netchaos.Injector Transport plugs in here.
 	Client *http.Client
 
-	// Cache, when non-nil (and CacheProgram non-empty), is the
-	// persistent content-addressed evaluation store: enumerated
+	// Program and Seed are the objective's content address
+	// (evalcache.ProgramHash / SpecHash and the measurement seed).
+	// Program is required: every shard carries the pair, so worker
+	// caches never mix objectives, and it is part of the checkpoint's
+	// search identity (tuning.ObjectiveID).
+	Program string
+	Seed    int64
+
+	// Cache, when non-nil, is the persistent content-addressed
+	// evaluation store, keyed by (Program, config, Seed): enumerated
 	// configurations already cached are merged into the table before
 	// sharding (they never hit the wire), every fresh merged
 	// evaluation is journaled into it, and byzantine repairs correct
-	// it. CacheProgram/CacheSeed complete the (program, config, seed)
-	// address; CacheTenant attributes hits.
-	Cache        *evalcache.Store
-	CacheProgram string
-	CacheSeed    int64
-	CacheTenant  string
+	// it. CacheTenant attributes hits.
+	Cache       *evalcache.Store
+	CacheTenant string
 
 	// CrossCheck is the byzantine audit width: per completed shard, this
 	// many sampled configurations are re-evaluated locally and compared
@@ -476,13 +481,17 @@ func Tune(ctx context.Context, tn tuning.Tuner, dims []tuning.Dim, start map[str
 	if opts.LocalObjective == nil {
 		return tuning.Result{}, nil, errors.New("fleet: LocalObjective is required")
 	}
+	if opts.Program == "" {
+		return tuning.Result{}, nil, errors.New("fleet: Program (the objective's content address) is required")
+	}
 	space := SpaceSize(dims, start)
 	opts = opts.withDefaults(space)
 	if space > opts.MaxSpace {
 		return tuning.Result{}, nil, fmt.Errorf("fleet: search space has %d configurations, above the %d cap; tune locally or raise MaxSpace", space, opts.MaxSpace)
 	}
 
-	meta := tuning.SearchMeta{Algo: tn.Name(), Budget: budget, Dims: dims, Start: start}
+	meta := tuning.SearchMeta{Algo: tn.Name(), Budget: budget, Dims: dims, Start: start,
+		Objective: tuning.ObjectiveID(opts.Program, opts.Seed)}
 	sched := &scheduler{
 		lease:  make(map[int]*leaseIn),
 		done:   make(map[int]bool),
@@ -499,10 +508,10 @@ func Tune(ctx context.Context, tn tuning.Tuner, dims []tuning.Dim, start map[str
 	}
 	sched.stats.NetFaults = make(map[string]int)
 	sched.cond = sync.NewCond(&sched.mu)
-	if opts.Cache != nil && opts.CacheProgram != "" {
+	if opts.Cache != nil {
 		sched.cache = opts.Cache
-		sched.cacheProg = opts.CacheProgram
-		sched.cacheSeed = opts.CacheSeed
+		sched.cacheProg = opts.Program
+		sched.cacheSeed = opts.Seed
 		sched.cacheTenant = opts.CacheTenant
 	}
 
@@ -597,8 +606,8 @@ func Tune(ctx context.Context, tn tuning.Tuner, dims []tuning.Dim, start map[str
 					Search:  meta.Signature(),
 					Shard:   id,
 					Spec:    opts.Spec,
-					Program: opts.CacheProgram,
-					Seed:    opts.CacheSeed,
+					Program: opts.Program,
+					Seed:    opts.Seed,
 					Configs: sched.shards[id].Configs,
 				}
 				sched.noteDispatch(worker)

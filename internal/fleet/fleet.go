@@ -55,22 +55,19 @@ import (
 // worker's NewObjective interprets.
 type ShardRequest struct {
 	// Search is the owning search's canonical identity
-	// (tuning.SearchMeta.Signature); the worker's content-addressed
-	// fallback key when no Program hash is supplied, so two searches
-	// never share cached costs by accident.
+	// (tuning.SearchMeta.Signature); it seeds the byzantine audit's
+	// sample selection.
 	Search string `json:"search"`
 	// Shard is the coordinator-assigned shard id (diagnostic).
 	Shard int `json:"shard"`
 	// Spec is the opaque objective specification, interpreted by the
 	// worker's NewObjective hook.
 	Spec json.RawMessage `json:"spec,omitempty"`
-	// Program is the canonical content address of the workload
+	// Program is the canonical content address of the objective
 	// (evalcache.ProgramHash / SpecHash); with Seed it lets a worker
 	// share its persistent evaluation store across searches, tenants
-	// and restarts. Empty on requests from older coordinators — the
-	// worker then falls back to "search:"+Search, which never matches
-	// a content address.
-	Program string `json:"program,omitempty"`
+	// and restarts. Required: a worker refuses a shard without it.
+	Program string `json:"program"`
 	// Seed is the measurement seed completing the cache address.
 	Seed int64 `json:"seed,omitempty"`
 	// Configs are the assignments to evaluate.

@@ -23,6 +23,9 @@ import (
 	"patty/internal/tuning"
 )
 
+// testProgram is the objective address the tests' searches carry.
+const testProgram = "sha256:test-program"
+
 // testSpace is the shared search space of these tests: a stepped
 // dimension (so the Min- and start-anchored lattices differ) crossed
 // with a dense one, and a pure objective with a unique minimum.
@@ -203,6 +206,7 @@ func TestTuneDeterministicAcrossWorkerCounts(t *testing.T) {
 					urls = append(urls, url)
 				}
 				res, st, err := Tune(context.Background(), tn, dims, start, 120, Options{
+					Program:        testProgram,
 					Workers:        urls,
 					LocalObjective: obj,
 					ShardSize:      2,
@@ -247,8 +251,8 @@ func TestTuneWarmCacheBitIdentical(t *testing.T) {
 		Workers:        []string{urlCold},
 		LocalObjective: obj,
 		Cache:          cold,
-		CacheProgram:   "sha256:test-program",
-		CacheSeed:      7,
+		Program:        testProgram,
+		Seed:           7,
 	}
 	resCold, stCold, err := Tune(context.Background(), tn, dims, start, 120, opts)
 	if err != nil {
@@ -325,6 +329,7 @@ func TestLeaseExpiryRedispatch(t *testing.T) {
 	good, _ := startWorker(t, countingHook(slowObj, &calls), "")
 
 	res, st, err := Tune(context.Background(), tn, dims, start, 120, Options{
+		Program:         testProgram,
 		Workers:         []string{hang.URL, good},
 		LocalObjective:  obj,
 		ShardSize:       3,
@@ -367,6 +372,7 @@ func TestStealFirstResultWins(t *testing.T) {
 	fast, _ := startWorker(t, straggle(2*time.Millisecond), "")
 
 	res, st, err := Tune(context.Background(), tn, dims, start, 120, Options{
+		Program:        testProgram,
 		Workers:        []string{slow, fast},
 		LocalObjective: obj,
 		ShardSize:      (SpaceSize(dims, start) + 1) / 2, // exactly two shards
@@ -410,6 +416,7 @@ func TestAllConfigsFaultedAcrossShards(t *testing.T) {
 	w1, _ := startWorker(t, countingHook(faulty, &calls), "")
 	w2, _ := startWorker(t, countingHook(faulty, &calls), "")
 	res, st, err := Tune(context.Background(), tn, dims, start, 120, Options{
+		Program:        testProgram,
 		Workers:        []string{w1, w2},
 		LocalObjective: faulty,
 		ShardSize:      2,
@@ -469,6 +476,7 @@ func TestCoordinatorCrashResume(t *testing.T) {
 	}()
 
 	_, st1, err := Tune(context.Background(), tn, dims, start, 120, Options{
+		Program:         testProgram,
 		Workers:         []string{flaky.URL},
 		LocalObjective:  obj,
 		Checkpoint:      ckpt,
@@ -488,6 +496,7 @@ func TestCoordinatorCrashResume(t *testing.T) {
 	var calls atomic.Int64
 	good, _ := startWorker(t, countingHook(obj, &calls), "")
 	res, st2, err := Tune(context.Background(), tn, dims, start, 120, Options{
+		Program:        testProgram,
 		Workers:        []string{good},
 		LocalObjective: obj,
 		Checkpoint:     ckpt,
@@ -511,6 +520,7 @@ func TestCoordinatorCrashResume(t *testing.T) {
 	// resumes it without re-measuring anything.
 	ck, resumed, err := tuning.NewCheckpointer(ckpt, tuning.SearchMeta{
 		Algo: tn.Name(), Budget: 120, Dims: dims, Start: start,
+		Objective: tuning.ObjectiveID(testProgram, 0),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -551,7 +561,7 @@ func TestWorkerIntakeHardening(t *testing.T) {
 		http.DefaultClient.CloseIdleConnections()
 	}()
 
-	shard := `{"search":"s","shard":0,"configs":[{"x":1}]}`
+	shard := `{"search":"s","shard":0,"program":"p","configs":[{"x":1}]}`
 	post := func(body, ct string) *http.Response {
 		t.Helper()
 		resp, err := http.Post(ts.URL+"/shards", ct, bytes.NewReader([]byte(body)))
@@ -572,8 +582,11 @@ func TestWorkerIntakeHardening(t *testing.T) {
 	if resp := post(`{"search":`, "application/json"); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("malformed JSON: HTTP %d, want 400", resp.StatusCode)
 	}
-	if resp := post(`{"search":"s","configs":[]}`, "application/json"); resp.StatusCode != http.StatusBadRequest {
+	if resp := post(`{"search":"s","program":"p","configs":[]}`, "application/json"); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("empty shard: HTTP %d, want 400", resp.StatusCode)
+	}
+	if resp := post(`{"search":"s","configs":[{"x":1}]}`, "application/json"); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("shard without a program address: HTTP %d, want 400", resp.StatusCode)
 	}
 
 	// Fill the service: one shard running, one queued; the third sheds
@@ -615,7 +628,7 @@ func TestWorkerCacheResume(t *testing.T) {
 	dims, start, obj := testSpace()
 	dir := t.TempDir()
 	configs := Enumerate(dims, start)[:5]
-	req, _ := json.Marshal(ShardRequest{Search: "cache-test", Shard: 0, Configs: configs})
+	req, _ := json.Marshal(ShardRequest{Search: "cache-test", Shard: 0, Program: testProgram, Configs: configs})
 
 	var calls1 atomic.Int64
 	url1, _ := startWorker(t, countingHook(obj, &calls1), dir)
@@ -668,7 +681,12 @@ func TestTuneInputValidation(t *testing.T) {
 		t.Fatal("missing LocalObjective must be an error")
 	}
 	if _, _, err := Tune(context.Background(), tn, dims, start, 10, Options{
-		Workers: []string{"http://x"}, LocalObjective: obj, MaxSpace: 3,
+		Workers: []string{"http://x"}, LocalObjective: obj,
+	}); err == nil {
+		t.Fatal("missing Program must be an error")
+	}
+	if _, _, err := Tune(context.Background(), tn, dims, start, 10, Options{
+		Workers: []string{"http://x"}, LocalObjective: obj, Program: testProgram, MaxSpace: 3,
 	}); err == nil {
 		t.Fatal("oversized space must be refused")
 	}

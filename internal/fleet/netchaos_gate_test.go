@@ -102,6 +102,7 @@ func TestNetChaosByzantineGate(t *testing.T) {
 	var st *Stats
 	for attempt := 0; attempt < 3; attempt++ {
 		res, stats, err := Tune(context.Background(), tn, dims, start, 120, Options{
+			Program:         testProgram,
 			Workers:         []string{honest1, honest2, liar.URL},
 			LocalObjective:  obj,
 			Collector:       c,
@@ -200,6 +201,7 @@ func TestRetryAfterHonored(t *testing.T) {
 
 	t0 := time.Now()
 	res, st, err := Tune(context.Background(), tn, dims, start, 120, Options{
+		Program:         testProgram,
 		Workers:         []string{srv.URL},
 		LocalObjective:  obj,
 		ShardSize:       4,
@@ -270,6 +272,7 @@ func TestQuarantineReverifiesAndCorrects(t *testing.T) {
 	}, &calls), "")
 
 	res, st, err := Tune(context.Background(), tn, dims, start, 120, Options{
+		Program:        testProgram,
 		Workers:        []string{honest, liar.URL},
 		LocalObjective: obj,
 		ShardSize:      4,

@@ -59,16 +59,9 @@ func NewWorker(svc *jobs.Service, newObjective func(json.RawMessage) (tuning.Obj
 }
 
 // cacheKeyFor builds the store address for one configuration of a
-// shard. Requests from coordinators that predate content addressing
-// carry no Program; "search:"+Search keeps their entries correct
-// (scoped to one search identity) without ever colliding with a
-// sha256 content address.
+// shard.
 func cacheKeyFor(req ShardRequest, a map[string]int) evalcache.Key {
-	prog := req.Program
-	if prog == "" {
-		prog = "search:" + req.Search
-	}
-	return evalcache.Key{Program: prog, Config: tuning.AssignKey(a), Seed: req.Seed}
+	return evalcache.Key{Program: req.Program, Config: tuning.AssignKey(a), Seed: req.Seed}
 }
 
 // evaluate runs one shard, honoring cancellation between
@@ -120,6 +113,10 @@ func (wk *Worker) handleShard(w http.ResponseWriter, r *http.Request) {
 	}
 	if len(req.Configs) == 0 {
 		WriteError(w, http.StatusBadRequest, errors.New("shard carries no configurations"))
+		return
+	}
+	if req.Program == "" {
+		WriteError(w, http.StatusBadRequest, errors.New("shard carries no program address"))
 		return
 	}
 	id, err := wk.svc.Submit("shard", func(ctx context.Context) (any, error) {

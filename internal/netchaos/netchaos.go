@@ -338,14 +338,9 @@ func (inj *Injector) count(class string) {
 }
 
 // roll derives the deterministic decision variable for (site, item,
-// salt) as a float in [0, 1) — the same derivation faultinject uses.
+// salt) as a float in [0, 1) via seed.Roll.
 func (inj *Injector) roll(site string, item int, salt int64) float64 {
-	h := inj.plan.Seed
-	for _, b := range []byte(site) {
-		h = seed.Mix(h, int64(b))
-	}
-	v := uint64(seed.Mix(h, int64(item)*16+salt))
-	return float64(v>>11) / float64(1<<53)
+	return seed.Roll(inj.plan.Seed, site, int64(item)*16+salt)
 }
 
 // Decide returns the item-keyed fault verdict for (site, item) — the

@@ -25,3 +25,17 @@ func Mix(base int64, index int64) int64 {
 	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
 	return int64(z ^ (z >> 31))
 }
+
+// Roll is the seeded decision variable of the fault injectors
+// (internal/faultinject, internal/netchaos): base folded with every
+// byte of site, mixed with key — the caller's pre-combined item and
+// salt — and scaled to a float in [0, 1). A decision is therefore a
+// pure function of (base, site, key) and replays bit for bit.
+func Roll(base int64, site string, key int64) float64 {
+	h := base
+	for i := 0; i < len(site); i++ {
+		h = Mix(h, int64(site[i]))
+	}
+	v := uint64(Mix(h, key))
+	return float64(v>>11) / float64(1<<53)
+}

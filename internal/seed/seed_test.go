@@ -53,3 +53,22 @@ func TestMixAvalanche(t *testing.T) {
 		}
 	}
 }
+
+// TestRollPinned pins Roll's outputs, so the injectors' recorded fault
+// plans (gate seeds, shrunk reproducers) keep firing the same faults.
+func TestRollPinned(t *testing.T) {
+	for _, c := range []struct {
+		base int64
+		site string
+		key  int64
+		want float64
+	}{
+		{1, "stage:oil", 13, 0.9437173520233275},
+		{42, "POST /shards", 114, 0.5200201231571508},
+		{-9, "", 0, 0.7288179472482268},
+	} {
+		if got := Roll(c.base, c.site, c.key); got != c.want {
+			t.Errorf("Roll(%d, %q, %d) = %v, want %v", c.base, c.site, c.key, got, c.want)
+		}
+	}
+}

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"patty/internal/checkpoint"
 	"patty/internal/jobs"
 )
 
@@ -43,7 +44,7 @@ func TestGoldenWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := goldenRecords()
-	got, validLen, err := DecodeWAL(raw)
+	got, validLen, err := checkpoint.DecodeFrames[Record](walMagic, raw)
 	if err != nil || validLen != len(raw) {
 		t.Fatalf("decode: validLen %d of %d, err %v", validLen, len(raw), err)
 	}
@@ -52,7 +53,7 @@ func TestGoldenWAL(t *testing.T) {
 	}
 	var enc []byte
 	for _, r := range want {
-		frame, err := EncodeRecord(r)
+		frame, err := checkpoint.EncodeFrame(walMagic, r)
 		if err != nil {
 			t.Fatal(err)
 		}

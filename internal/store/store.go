@@ -112,7 +112,9 @@ func Open(dir string) (*Store, error) {
 		// rather than refuse to serve.
 		s.recovery.SnapshotCorrupt = true
 		s.recovery.SnapshotErr = err.Error()
-		os.Rename(snapPath, snapPath+".corrupt")
+		if os.Rename(snapPath, snapPath+".corrupt") == nil {
+			checkpoint.SyncDir(dir)
+		}
 	}
 
 	// WAL: replay the tail of history, truncating any damage.
@@ -121,11 +123,11 @@ func Open(dir string) (*Store, error) {
 	if err != nil && !os.IsNotExist(err) {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	recs, validLen, derr := DecodeWAL(raw)
+	recs, validLen, derr := checkpoint.DecodeFrames[Record](walMagic, raw)
 	if derr != nil {
 		s.recovery.WALErr = derr.Error()
 		s.recovery.WALTruncated = len(raw) - validLen
-		if err := os.Truncate(walPath, int64(validLen)); err != nil {
+		if err := checkpoint.TruncateSync(walPath, int64(validLen)); err != nil {
 			return nil, fmt.Errorf("store: truncate damaged WAL: %w", err)
 		}
 	}
@@ -189,7 +191,7 @@ func (s *Store) applyLocked(rec Record) {
 // it, compacting when due.
 func (s *Store) append(rec Record) error {
 	rec.At = time.Now()
-	frame, err := EncodeRecord(rec)
+	frame, err := checkpoint.EncodeFrame(walMagic, rec)
 	if err != nil {
 		return err
 	}

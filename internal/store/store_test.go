@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"patty/internal/checkpoint"
 	"patty/internal/jobs"
 )
 
@@ -166,7 +167,7 @@ func TestCompactionPreservesState(t *testing.T) {
 	// 9 appends at compact-every-4: two compactions happened, at most
 	// one record sits in the live WAL.
 	raw, _ := os.ReadFile(filepath.Join(dir, walName))
-	recs, _, derr := DecodeWAL(raw)
+	recs, _, derr := checkpoint.DecodeFrames[Record](walMagic, raw)
 	if derr != nil || len(recs) > 1 {
 		t.Fatalf("live WAL holds %d records (err %v), size %d", len(recs), derr, st.Size())
 	}
@@ -292,97 +293,6 @@ func TestWALTornTailTruncated(t *testing.T) {
 	}
 }
 
-// TestWALCorruptionEveryOffset is the ISSUE's fuzz gate: flip one byte
-// at every offset of a multi-record WAL image, and separately truncate
-// at every length. Decoding must never panic, must classify the damage
-// with a typed error, and must recover exactly the records that are
-// fully intact before the damaged byte.
-func TestWALCorruptionEveryOffset(t *testing.T) {
-	var img []byte
-	var ends []int // byte offset just past record i
-	n := 4
-	for i := int64(1); int(i) <= n; i++ {
-		st := jobs.StatusQueued
-		if i%2 == 0 {
-			st = jobs.StatusDone
-		}
-		frame, err := EncodeRecord(Record{Op: OpAccepted, Job: info(jobID(i), i, st), Spec: []byte(`{"x":"y z"}`)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		img = append(img, frame...)
-		ends = append(ends, len(img))
-	}
-	// intactBefore(off) = how many records end at or before offset off.
-	intactBefore := func(off int) int {
-		k := 0
-		for _, e := range ends {
-			if e <= off {
-				k++
-			}
-		}
-		return k
-	}
-	if recs, vl, err := DecodeWAL(img); err != nil || len(recs) != n || vl != len(img) {
-		t.Fatalf("clean image: %d recs, validLen %d, err %v", len(recs), vl, err)
-	}
-
-	t.Run("flip", func(t *testing.T) {
-		for off := 0; off < len(img); off++ {
-			mut := bytes.Clone(img)
-			mut[off] ^= 0xff
-			recs, validLen, err := DecodeWAL(mut)
-			if err == nil {
-				t.Fatalf("flip at %d: damage not detected", off)
-			}
-			if !errors.Is(err, ErrCorruptWAL) && !errors.Is(err, ErrTornTail) {
-				t.Fatalf("flip at %d: untyped error %v", off, err)
-			}
-			want := intactBefore(off)
-			if len(recs) != want {
-				t.Fatalf("flip at %d: recovered %d records, want %d (err %v)", off, len(recs), want, err)
-			}
-			if validLen > off {
-				t.Fatalf("flip at %d: validLen %d reaches past the damage", off, validLen)
-			}
-			for i, r := range recs {
-				if r.Job.ID != jobID(int64(i+1)) {
-					t.Fatalf("flip at %d: recovered record %d is %q", off, i, r.Job.ID)
-				}
-			}
-		}
-	})
-
-	t.Run("truncate", func(t *testing.T) {
-		for cut := 0; cut <= len(img); cut++ {
-			recs, validLen, err := DecodeWAL(img[:cut])
-			want := intactBefore(cut)
-			if len(recs) != want {
-				t.Fatalf("cut at %d: recovered %d records, want %d (err %v)", cut, len(recs), want, err)
-			}
-			if validLen != ends0(ends, want) {
-				t.Fatalf("cut at %d: validLen %d, want %d", cut, validLen, ends0(ends, want))
-			}
-			atBoundary := cut == 0 || (want > 0 && ends[want-1] == cut)
-			if atBoundary {
-				if err != nil {
-					t.Fatalf("cut at record boundary %d: unexpected error %v", cut, err)
-				}
-			} else if !errors.Is(err, ErrTornTail) {
-				t.Fatalf("cut at %d: %v, want ErrTornTail", cut, err)
-			}
-		}
-	})
-}
-
-// ends0 returns the end offset of the k-th record (0 for k == 0).
-func ends0(ends []int, k int) int {
-	if k == 0 {
-		return 0
-	}
-	return ends[k-1]
-}
-
 // TestServiceWithStoreEndToEnd wires a real jobs.Service to the store
 // and proves the acknowledged-work invariants across a simulated
 // restart: finished jobs restore terminal with their results, queued
@@ -441,25 +351,29 @@ func TestServiceWithStoreEndToEnd(t *testing.T) {
 	}
 }
 
-// DecodeWAL edge cases: inputs at the boundaries of the framing
-// grammar — an empty image, a tail that is only a frame header, and a
-// frame whose declared payload length exceeds the bytes that remain —
-// must come back as the precise typed verdicts, never a panic or a
-// phantom record.
+// WAL decode edge cases: inputs at the boundaries of the framing
+// grammar — an empty image, a tail that is only a frame header, a
+// frame whose declared payload length exceeds the bytes that remain,
+// and a frame that passes its CRC but does not hold a Record — must
+// come back from the frame codec as the precise typed verdicts, never
+// a panic or a phantom record.
 func TestDecodeWALEdgeCases(t *testing.T) {
-	good, err := EncodeRecord(Record{Op: OpAccepted, ID: "j1"})
+	decode := func(raw []byte) ([]Record, int, error) {
+		return checkpoint.DecodeFrames[Record](walMagic, raw)
+	}
+	good, err := checkpoint.EncodeFrame(walMagic, Record{Op: OpAccepted, ID: "j1"})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	t.Run("empty image", func(t *testing.T) {
-		recs, n, err := DecodeWAL(nil)
+		recs, n, err := decode(nil)
 		if err != nil || n != 0 || len(recs) != 0 {
-			t.Fatalf("DecodeWAL(nil) = %v, %d, %v; want clean empty", recs, n, err)
+			t.Fatalf("decode(nil) = %v, %d, %v; want clean empty", recs, n, err)
 		}
-		recs, n, err = DecodeWAL([]byte{})
+		recs, n, err = decode([]byte{})
 		if err != nil || n != 0 || len(recs) != 0 {
-			t.Fatalf("DecodeWAL(empty) = %v, %d, %v; want clean empty", recs, n, err)
+			t.Fatalf("decode(empty) = %v, %d, %v; want clean empty", recs, n, err)
 		}
 	})
 
@@ -468,22 +382,22 @@ func TestDecodeWALEdgeCases(t *testing.T) {
 		// the header parses but zero payload bytes follow.
 		nl := bytes.IndexByte(good, '\n')
 		img := append(append([]byte{}, good...), good[:nl+1]...)
-		recs, n, err := DecodeWAL(img)
-		if !errors.Is(err, ErrTornTail) {
+		recs, n, err := decode(img)
+		if !errors.Is(err, checkpoint.ErrTornTail) {
 			t.Fatalf("err = %v, want ErrTornTail", err)
 		}
 		if len(recs) != 1 || n != len(good) {
 			t.Fatalf("prefix = %d record(s), validLen %d; want 1, %d", len(recs), n, len(good))
 		}
 		// The same tail with nothing before it: zero records, offset 0.
-		recs, n, err = DecodeWAL(good[:nl+1])
-		if !errors.Is(err, ErrTornTail) || len(recs) != 0 || n != 0 {
+		recs, n, err = decode(good[:nl+1])
+		if !errors.Is(err, checkpoint.ErrTornTail) || len(recs) != 0 || n != 0 {
 			t.Fatalf("bare header = %v, %d, %v; want torn tail at 0", recs, n, err)
 		}
 		// A header cut before its newline is also a torn tail, not
 		// corruption.
-		recs, n, err = DecodeWAL(good[:nl])
-		if !errors.Is(err, ErrTornTail) || len(recs) != 0 || n != 0 {
+		recs, n, err = decode(good[:nl])
+		if !errors.Is(err, checkpoint.ErrTornTail) || len(recs) != 0 || n != 0 {
 			t.Fatalf("unterminated header = %v, %d, %v; want torn tail at 0", recs, n, err)
 		}
 	})
@@ -492,8 +406,8 @@ func TestDecodeWALEdgeCases(t *testing.T) {
 		// Chop the final payload byte + newline: the header's length field
 		// now promises more than the image holds.
 		img := append(append([]byte{}, good...), good[:len(good)-2]...)
-		recs, n, err := DecodeWAL(img)
-		if !errors.Is(err, ErrTornTail) {
+		recs, n, err := decode(img)
+		if !errors.Is(err, checkpoint.ErrTornTail) {
 			t.Fatalf("err = %v, want ErrTornTail", err)
 		}
 		if len(recs) != 1 || n != len(good) {
@@ -501,11 +415,35 @@ func TestDecodeWALEdgeCases(t *testing.T) {
 		}
 		// An absurd declared length with all framing intact is still a
 		// torn tail by the grammar (bytes merely missing), and must not
-		// allocate or scan past the image.
+		// allocate or scan past the image; one past the int range is a
+		// malformed header.
 		huge := append([]byte("walrec 00000000 9999999999\n"), []byte("x")...)
-		recs, n, err = DecodeWAL(huge)
-		if !errors.Is(err, ErrTornTail) || len(recs) != 0 || n != 0 {
+		recs, n, err = decode(huge)
+		if !errors.Is(err, checkpoint.ErrTornTail) || len(recs) != 0 || n != 0 {
 			t.Fatalf("huge length = %v, %d, %v; want torn tail at 0", recs, n, err)
+		}
+		overflow := []byte("walrec 00000000 99999999999999999999\nx")
+		recs, n, err = decode(overflow)
+		if !errors.Is(err, checkpoint.ErrCorruptFrame) || len(recs) != 0 || n != 0 {
+			t.Fatalf("overflowing length = %v, %d, %v; want corrupt frame at 0", recs, n, err)
+		}
+	})
+
+	t.Run("valid checksum, payload not a record", func(t *testing.T) {
+		// The frame is intact and its CRC matches, but the JSON is a
+		// string, not a Record: corruption, and the prefix before it
+		// survives.
+		bad, err := checkpoint.EncodeFrame(walMagic, "not a record")
+		if err != nil {
+			t.Fatal(err)
+		}
+		img := append(append(append([]byte{}, good...), bad...), good...)
+		recs, n, err := decode(img)
+		if !errors.Is(err, checkpoint.ErrCorruptFrame) {
+			t.Fatalf("err = %v, want ErrCorruptFrame", err)
+		}
+		if len(recs) != 1 || recs[0].ID != "j1" || n != len(good) {
+			t.Fatalf("prefix = %+v, validLen %d; want the first record, %d", recs, n, len(good))
 		}
 	})
 }

@@ -9,28 +9,10 @@
 package store
 
 import (
-	"bytes"
 	"encoding/json"
-	"errors"
-	"fmt"
-	"hash/crc32"
-	"strconv"
-	"strings"
 	"time"
 
 	"patty/internal/jobs"
-)
-
-var (
-	// ErrCorruptWAL marks a log record whose bytes are all present but
-	// damaged (bad magic, bad header, checksum mismatch, malformed
-	// payload). Everything before it is trustworthy; it and everything
-	// after are not.
-	ErrCorruptWAL = errors.New("store: corrupt WAL record")
-	// ErrTornTail marks a log that ends mid-record — the shape a crash
-	// during append leaves. Recovery truncates the tail and continues;
-	// it is expected damage, not corruption.
-	ErrTornTail = errors.New("store: torn WAL tail")
 )
 
 // Record operations, one per job lifecycle edge.
@@ -60,102 +42,7 @@ type Record struct {
 	At time.Time `json:"at,omitempty"`
 }
 
-// walMagic opens every frame. The trailing space doubles as the field
-// separator of the header line.
+// walMagic opens every WAL frame (internal/checkpoint's frame codec).
+// The trailing space doubles as the field separator of the header
+// line.
 const walMagic = "walrec "
-
-// maxHeader bounds the header-line scan: "walrec " + 8 hex + " " + a
-// length field no wider than 20 digits + "\n".
-const maxHeader = len(walMagic) + 8 + 1 + 20 + 1
-
-// castagnoli is CRC-32C, matching internal/checkpoint.
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// EncodeRecord renders one frame:
-//
-//	walrec <crc32c-hex8> <payload-len>\n
-//	<payload bytes>\n
-//
-// The CRC covers the payload only; the framing fields are validated
-// structurally (hex width, decimal length, exact trailing newline), so
-// every byte of the frame participates in some check.
-func EncodeRecord(r Record) ([]byte, error) {
-	payload, err := json.Marshal(r)
-	if err != nil {
-		return nil, fmt.Errorf("store: marshal record: %w", err)
-	}
-	var b bytes.Buffer
-	fmt.Fprintf(&b, "%s%08x %d\n", walMagic, crc32.Checksum(payload, castagnoli), len(payload))
-	b.Write(payload)
-	b.WriteByte('\n')
-	return b.Bytes(), nil
-}
-
-// DecodeWAL parses a log image into its maximal valid record prefix.
-// validLen is the byte offset just past the last good record — the
-// truncation point recovery uses. err is nil for a clean log,
-// ErrTornTail when the data simply ends mid-record (crash during
-// append), and ErrCorruptWAL when bytes that are fully present fail
-// validation. In every case the returned records are exactly the valid
-// prefix; damage never panics and never yields a partial record.
-func DecodeWAL(raw []byte) (recs []Record, validLen int, err error) {
-	off := 0
-	for off < len(raw) {
-		rest := raw[off:]
-		// Frame magic. A proper prefix of the magic at end-of-data is a
-		// torn tail; a mismatch within available bytes is corruption.
-		if len(rest) < len(walMagic) {
-			if bytes.HasPrefix([]byte(walMagic), rest) {
-				return recs, off, fmt.Errorf("%w: %d byte(s) after offset %d", ErrTornTail, len(rest), off)
-			}
-			return recs, off, fmt.Errorf("%w: bad magic at offset %d", ErrCorruptWAL, off)
-		}
-		if !bytes.HasPrefix(rest, []byte(walMagic)) {
-			return recs, off, fmt.Errorf("%w: bad magic at offset %d", ErrCorruptWAL, off)
-		}
-		// Header line.
-		nl := bytes.IndexByte(rest, '\n')
-		if nl < 0 {
-			if len(rest) <= maxHeader {
-				return recs, off, fmt.Errorf("%w: unterminated header at offset %d", ErrTornTail, off)
-			}
-			return recs, off, fmt.Errorf("%w: runaway header at offset %d", ErrCorruptWAL, off)
-		}
-		if nl > maxHeader {
-			return recs, off, fmt.Errorf("%w: oversized header at offset %d", ErrCorruptWAL, off)
-		}
-		fields := strings.Fields(string(rest[len(walMagic):nl]))
-		if len(fields) != 2 || len(fields[0]) != 8 {
-			return recs, off, fmt.Errorf("%w: malformed header at offset %d", ErrCorruptWAL, off)
-		}
-		wantSum, herr := strconv.ParseUint(fields[0], 16, 32)
-		if herr != nil {
-			return recs, off, fmt.Errorf("%w: bad checksum field at offset %d", ErrCorruptWAL, off)
-		}
-		wantLen, herr := strconv.Atoi(fields[1])
-		if herr != nil || wantLen < 0 {
-			return recs, off, fmt.Errorf("%w: bad length field at offset %d", ErrCorruptWAL, off)
-		}
-		// Payload + trailing newline.
-		body := rest[nl+1:]
-		if len(body) < wantLen+1 {
-			return recs, off, fmt.Errorf("%w: record at offset %d wants %d byte(s), has %d",
-				ErrTornTail, off, wantLen+1, len(body))
-		}
-		payload := body[:wantLen]
-		if body[wantLen] != '\n' {
-			return recs, off, fmt.Errorf("%w: unterminated record at offset %d", ErrCorruptWAL, off)
-		}
-		if got := crc32.Checksum(payload, castagnoli); got != uint32(wantSum) {
-			return recs, off, fmt.Errorf("%w: checksum %08x, want %08x at offset %d",
-				ErrCorruptWAL, got, wantSum, off)
-		}
-		var rec Record
-		if jerr := json.Unmarshal(payload, &rec); jerr != nil {
-			return recs, off, fmt.Errorf("%w: payload at offset %d: %v", ErrCorruptWAL, off, jerr)
-		}
-		recs = append(recs, rec)
-		off += nl + 1 + wantLen + 1
-	}
-	return recs, off, nil
-}

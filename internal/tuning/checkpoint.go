@@ -15,8 +15,8 @@ import (
 const CheckpointKind = "tuning-search"
 
 // ErrCheckpointMismatch reports a checkpoint written by a different
-// search (other algorithm, budget, dimensions or start point):
-// resuming it would silently answer a different question.
+// search (other objective, algorithm, budget, dimensions or start
+// point): resuming it would silently answer a different question.
 var ErrCheckpointMismatch = errors.New("tuning: checkpoint belongs to a different search")
 
 // SearchMeta pins the identity of a search. Two runs with equal meta
@@ -28,6 +28,17 @@ type SearchMeta struct {
 	Budget int            `json:"budget"`
 	Dims   []Dim          `json:"dims"`
 	Start  map[string]int `json:"start"`
+	// Objective is the content address of the function being
+	// minimized (ObjectiveID): two searches over different objectives
+	// never share a journal, even when their spaces agree.
+	Objective string `json:"objective,omitempty"`
+}
+
+// ObjectiveID names an objective by the address its evaluations are
+// cached under (evalcache.Key without the config): the program or spec
+// hash and the measurement seed.
+func ObjectiveID(program string, seed int64) string {
+	return fmt.Sprintf("%s@%d", program, seed)
 }
 
 // Signature is the canonical comparable identity of a search: two
@@ -40,7 +51,7 @@ func (m SearchMeta) Signature() string { return m.signature() }
 func (m SearchMeta) signature() string {
 	dims := append([]Dim(nil), m.Dims...)
 	sort.Slice(dims, func(i, j int) bool { return dims[i].Key < dims[j].Key })
-	s := fmt.Sprintf("algo=%s;budget=%d;start=%s;", m.Algo, m.Budget, assignKey(m.Start))
+	s := fmt.Sprintf("objective=%s;algo=%s;budget=%d;start=%s;", m.Objective, m.Algo, m.Budget, assignKey(m.Start))
 	for _, d := range dims {
 		s += fmt.Sprintf("dim=%s[%d..%d/%d];", d.Key, d.Min, d.Max, d.step())
 	}
