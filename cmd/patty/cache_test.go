@@ -117,7 +117,10 @@ func TestJobCacheKey(t *testing.T) {
 // TestServeJobMemoization drives runnerFor the way handleSubmit and
 // recovery do: the first run executes and records, the identical
 // resubmission — other tenant, other server instance, reopened store —
-// answers the recorded bytes without running.
+// answers the recorded bytes without running. Two jobs take that path:
+// a study job resubmitted verbatim, and a tune job about a corpus
+// program resubmitted with comment lines added to its sources, which
+// only the canonical program hash can match.
 func TestServeJobMemoization(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "cas")
 	cache, err := evalcache.Open(dir, evalcache.Options{Collector: obs.New()})
@@ -129,42 +132,59 @@ func TestServeJobMemoization(t *testing.T) {
 	srv := newServer(svc, "")
 	srv.cache = cache
 
-	req := jobRequest{Kind: "study", Seed: 5, Tenant: "alice"}
-	run, _, err := srv.runnerFor(req)
-	if err != nil {
-		t.Fatal(err)
+	p := corpus.All()[0]
+	tune := jobRequest{Kind: "tune", Tenant: "alice",
+		Sources:  map[string]string{p.Name + ".go": p.Source},
+		tuneSpec: tuneSpec{Algo: "linear", Budget: 60, Cores: 4}}
+	perturbed := tune
+	perturbed.Tenant = "bob"
+	perturbed.Sources = map[string]string{
+		p.Name + ".go": "// resubmitted by bob\n" + p.Source + "\n// end of resubmission\n"}
+	cases := []struct {
+		name       string
+		first, dup jobRequest
+	}{
+		{"study", jobRequest{Kind: "study", Seed: 5, Tenant: "alice"}, jobRequest{Kind: "study", Seed: 5, Tenant: "bob"}},
+		{"tune", tune, perturbed},
 	}
-	res, err := run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := json.Marshal(res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := cache.Stats(); st.Inserts != 1 {
-		t.Fatalf("first run recorded %d entries, want 1", st.Inserts)
+	answer := func(srv *server, req jobRequest) any {
+		t.Helper()
+		run, _, err := srv.runnerFor(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
 
-	// Same job, different tenant: served from the shared store.
-	req.Tenant = "bob"
-	run, _, err = srv.runnerFor(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err = run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, ok := res.(json.RawMessage)
-	if !ok {
-		t.Fatalf("cached answer is %T, want json.RawMessage", res)
-	}
-	if string(raw) != string(want) {
-		t.Fatalf("cached bytes differ:\n got %s\nwant %s", raw, want)
-	}
-	if st := cache.Stats(); st.Hits != 1 {
-		t.Fatalf("hits = %d, want 1", st.Hits)
+	want := make([][]byte, len(cases))
+	for i, c := range cases {
+		inserts := cache.Stats().Inserts
+		if want[i], err = json.Marshal(answer(srv, c.first)); err != nil {
+			t.Fatal(err)
+		}
+		// A study job records only its answer; a tune job also records
+		// each configuration it measured.
+		if d := cache.Stats().Inserts - inserts; d == 0 || (c.first.Kind == "study" && d != 1) {
+			t.Fatalf("%s: first run recorded %d entries", c.name, d)
+		}
+
+		// The resubmission, from another tenant: served from the
+		// shared store with one hit and no evaluation.
+		hits := cache.Stats().Hits
+		raw, ok := answer(srv, c.dup).(json.RawMessage)
+		if !ok {
+			t.Fatalf("%s: resubmission was not answered from the store", c.name)
+		}
+		if string(raw) != string(want[i]) {
+			t.Fatalf("%s: cached bytes differ:\n got %s\nwant %s", c.name, raw, want[i])
+		}
+		if d := cache.Stats().Hits - hits; d != 1 {
+			t.Fatalf("%s: resubmission made %d hit(s), want 1", c.name, d)
+		}
 	}
 	if err := cache.Close(); err != nil {
 		t.Fatal(err)
@@ -178,16 +198,10 @@ func TestServeJobMemoization(t *testing.T) {
 	defer cache2.Close()
 	srv2 := newServer(svc, "")
 	srv2.cache = cache2
-	run, _, err = srv2.runnerFor(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err = run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, ok = res.(json.RawMessage)
-	if !ok || string(raw) != string(want) {
-		t.Fatalf("post-restart answer diverged: %v", res)
+	for i, c := range cases {
+		raw, ok := answer(srv2, c.dup).(json.RawMessage)
+		if !ok || string(raw) != string(want[i]) {
+			t.Fatalf("%s: post-restart answer diverged: %s", c.name, raw)
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"net"
 	"net/http"
 	"os"
 	"os/exec"
@@ -14,7 +15,9 @@ import (
 	"testing"
 	"time"
 
+	"patty/internal/fleet"
 	"patty/internal/jobs"
+	"patty/internal/obs"
 	"patty/internal/ptest"
 )
 
@@ -51,6 +54,24 @@ func startWorkerProc(t *testing.T, args ...string) (*exec.Cmd, string) {
 	cmd.Process.Kill()
 	t.Fatal("worker never printed its listen address")
 	return nil, ""
+}
+
+// startInprocWorker runs a fleet worker inside the test process, so a
+// test exercises the wire protocol without spawning a child process.
+func startInprocWorker(pool int) (url string, stop func(), err error) {
+	svc := jobs.New(jobs.Options{Workers: pool, QueueDepth: 64})
+	wk := fleet.NewWorker(svc, workerObjective, nil, obs.New())
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		svc.Close()
+		return "", nil, err
+	}
+	hs := &http.Server{Handler: wk.Mux()}
+	go hs.Serve(ln)
+	return "http://" + ln.Addr().String(), func() {
+		hs.Close()
+		svc.Close()
+	}, nil
 }
 
 // TestFleetTuneMatchesLocal is the CLI half of the determinism

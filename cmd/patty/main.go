@@ -84,12 +84,6 @@ func main() {
 		err = interruptible(cmdWorker, args)
 	case "cache":
 		err = cmdCache(args)
-	case "fleetbench":
-		err = interruptible(cmdFleetbench, args)
-	case "servebench":
-		err = interruptible(cmdServebench, args)
-	case "interpbench":
-		err = interruptible(cmdInterpbench, args)
 	case "help", "-h", "--help":
 		usage()
 	default:
@@ -183,18 +177,6 @@ commands:
             operate on a content-addressed evaluation store: print its
             stats, run a read-only integrity scan (non-zero exit on
             damage), or compact away superseded and quarantined data
-  fleetbench [-counts 1,2,4] [-eval-delay ms] [-o BENCH_fleet.json]
-            wall-clock baseline of the distributed search vs the local
-            reference, with the determinism check inline
-  servebench [-duration d] [-clients n] [-hog-factor k] [-tenant-rate r]
-            [-smoke] [-o BENCH_serve.json]
-            multi-tenant load harness for patty serve: one hog tenant
-            at k-times the others' concurrency; records per-tenant
-            latency percentiles, goodput and 429/503 counts, and fails
-            if max/min goodput exceeds the fairness gate
-  interpbench [-passes n] [-fuzz-n m] [-min-speedup x] [-o BENCH_interp.json]
-            bytecode VM vs tree-walker throughput on the corpus; fails
-            unless the VM reaches the -min-speedup gate
 
 tune, study, eval, fuzz, serve and worker stop cleanly on the first
 SIGINT or SIGTERM (printing partial results); a second signal

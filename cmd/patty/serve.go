@@ -46,7 +46,7 @@ type jobRequest struct {
 	Configs int   `json:"configs,omitempty"`
 	// Study fields.
 	Measured bool `json:"measured,omitempty"`
-	// Bench fields: a calibrated no-op job for load harnesses.
+	// Bench fields: how long a "bench" job sleeps (see buildRunner).
 	SleepMs int64 `json:"sleep_ms,omitempty"`
 }
 
@@ -250,9 +250,11 @@ func (s *server) buildRunner(req jobRequest) (jobs.Runner, string, error) {
 			return study.Run(seed, outcome), nil
 		}, ckpt, nil
 	case "bench":
-		// A calibrated sleep job: the servebench load harness measures
-		// queueing and fairness with it, without dragging tuner cost
-		// variance into the latency numbers. Honors cancellation.
+		// A sleep job that honors cancellation: TestServeTrafficChaosRecovery,
+		// TestServeStoreRecoveryInProcess, TestServeQuota429AndTenantFilter
+		// and TestServeTenantFairnessUnderHog queue it as cheap work with
+		// no tuner cost variance. ROADMAP item 2 removes it together with
+		// tuneWorkload.
 		sleep := time.Duration(req.SleepMs) * time.Millisecond
 		if sleep < 0 {
 			return nil, "", fmt.Errorf("sleep_ms must be >= 0")

@@ -3,9 +3,12 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -224,6 +227,109 @@ func TestServeQuota429AndTenantFilter(t *testing.T) {
 	if got := strings.TrimSpace(string(body[:n])); got != "[]" {
 		t.Fatalf("empty filter body = %q, want []", got)
 	}
+}
+
+// TestServeTenantFairnessUnderHog is the fair-share gate: three
+// tenants with two closed-loop clients each and one hog tenant with ten
+// share four workers at equal weights, and the server's own per-tenant
+// goodput (obs.FairnessRatio) must stay within maxFairness. Every
+// tenant must finish at least one job, or the ratio is unmeasurable.
+//
+// Jobs sleep 20 ms so that a client's turnaround (the result, then the
+// next submit) stays shorter than a job even under -race on a busy
+// host. Otherwise a small tenant's queue runs dry between jobs, the
+// work-conserving dispatcher rightly hands its share to the hog, and
+// the ratio measures the host rather than the dispatcher.
+func TestServeTenantFairnessUnderHog(t *testing.T) {
+	const maxFairness = 2.0
+	collector := obs.New()
+	_, ts := newTestServer(t, jobs.Options{
+		Workers: 4, QueueDepth: 64, Collector: collector,
+		TenantRate: 300, TenantBurst: 16,
+	})
+	hc := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 64}}
+	defer hc.CloseIdleConnections()
+
+	clients := map[string]int{"t1": 2, "t2": 2, "t3": 2, "hog": 10}
+	ctx, cancel := context.WithTimeout(context.Background(), 800*time.Millisecond)
+	defer cancel()
+	var wg sync.WaitGroup
+	var n int64
+	for tenant, k := range clients {
+		for c := 0; c < k; c++ {
+			n++
+			wg.Add(1)
+			go func(tenant string, rng *rand.Rand) {
+				defer wg.Done()
+				if err := closedLoopClient(ctx, hc, ts.URL, tenant, rng); err != nil {
+					t.Error(err)
+				}
+			}(tenant, rand.New(rand.NewSource(n)))
+		}
+	}
+	wg.Wait()
+
+	ths := obs.AnalyzeTenants(collector.Snapshot())
+	for _, th := range ths {
+		t.Logf("%-4s %2d client(s): %d done, %d x 429, %d x 503",
+			th.Tenant, clients[th.Tenant], th.Done, th.QuotaDenied, th.Shed)
+	}
+	if len(ths) != len(clients) {
+		t.Fatalf("%d tenant(s) reported, want %d", len(ths), len(clients))
+	}
+	for _, th := range ths {
+		if th.Goodput() == 0 {
+			t.Fatalf("fairness unmeasurable: tenant %s finished zero jobs", th.Tenant)
+		}
+	}
+	ratio := obs.FairnessRatio(ths)
+	t.Logf("max/min tenant goodput %.2f", ratio)
+	if ratio == 0 || ratio > maxFairness {
+		t.Fatalf("max/min tenant goodput %.2f, gate (0, %.1f]", ratio, maxFairness)
+	}
+}
+
+// closedLoopClient submits 20 ms bench jobs as tenant and waits for
+// each to finish, until ctx ends. A 429 or 503 backs off a few
+// jittered milliseconds: the advertised Retry-After is whole seconds,
+// far longer than the run.
+func closedLoopClient(ctx context.Context, hc *http.Client, base, tenant string, rng *rand.Rand) error {
+	for ctx.Err() == nil {
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/jobs",
+			strings.NewReader(`{"kind":"bench","sleep_ms":20}`))
+		if err != nil {
+			return err
+		}
+		req.Header.Set("Content-Type", "application/json")
+		req.Header.Set("X-Tenant", tenant)
+		resp, err := hc.Do(req)
+		if err != nil {
+			return nil // the deadline hit mid-request
+		}
+		var out struct{ ID string }
+		json.NewDecoder(resp.Body).Decode(&out)
+		resp.Body.Close()
+		switch resp.StatusCode {
+		case http.StatusAccepted:
+			wreq, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/jobs/"+out.ID+"?wait=1", nil)
+			if err != nil {
+				return err
+			}
+			wresp, err := hc.Do(wreq)
+			if err != nil {
+				return nil
+			}
+			wresp.Body.Close()
+		case http.StatusTooManyRequests, http.StatusServiceUnavailable:
+			select {
+			case <-ctx.Done():
+			case <-time.After(time.Duration(1+rng.Intn(5)) * time.Millisecond):
+			}
+		default:
+			return fmt.Errorf("tenant %s submit: HTTP %d", tenant, resp.StatusCode)
+		}
+	}
+	return nil
 }
 
 // TestServeStoreRecoveryInProcess is the unit-level half of the chaos

@@ -101,6 +101,9 @@ type Process struct {
 
 	prog *source.Program
 	arts Artifacts
+	// transformed records that TransformCode completed; UnitTests is
+	// nil when there were no candidates, so it cannot tell.
+	transformed bool
 }
 
 // NewProcess prepares a run over filename→source-text pairs.
@@ -223,6 +226,7 @@ func (p *Process) TransformCode() error {
 		return err
 	}
 	p.arts.UnitTests = uts
+	p.transformed = true
 	p.log("  %d generated file(s), %d tuning parameter(s), %d parallel unit test(s)",
 		len(p.arts.Outputs), len(p.arts.TuningConfig.Entries), len(uts))
 	return nil
@@ -297,7 +301,7 @@ type ValidationResult struct {
 // Validate implements operation mode 4's correctness half: run every
 // generated parallel unit test on the systematic scheduler.
 func (p *Process) Validate(opt sched.Options) ([]ValidationResult, error) {
-	if p.arts.UnitTests == nil {
+	if !p.transformed {
 		return nil, fmt.Errorf("core: TransformCode must run first")
 	}
 	var out []ValidationResult

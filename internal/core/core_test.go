@@ -91,6 +91,10 @@ func Scan(a []int) {
 	if len(arts.Outputs) != 0 || len(arts.UnitTests) != 0 {
 		t.Fatalf("expected empty artifacts, got %+v", arts)
 	}
+	res, err := p.Validate(sched.Options{})
+	if err != nil || len(res) != 0 {
+		t.Fatalf("Validate after TransformCode with no candidates: %d result(s), err %v", len(res), err)
+	}
 }
 
 func TestValidateOnProcess(t *testing.T) {

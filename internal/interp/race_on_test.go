@@ -1,0 +1,7 @@
+//go:build race
+
+package interp_test
+
+// raceEnabled reports whether the race detector is compiled in; see
+// TestVMSpeedupOverTree.
+const raceEnabled = true

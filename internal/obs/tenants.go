@@ -124,8 +124,9 @@ func AnalyzeTenants(s Snapshot) []TenantHealth {
 }
 
 // FairnessRatio is the max/min goodput across tenants that completed
-// at least one job — 1.0 is perfect fairness, and the servebench gate
-// requires <= 2.0 under a 10x-skewed offered load at equal weights.
+// at least one job — 1.0 is perfect fairness, and
+// TestServeTenantFairnessUnderHog (cmd/patty) requires <= 2.0 when one
+// tenant offers 5x the others' load at equal weights.
 // Returns 0 when fewer than two tenants have goodput.
 func FairnessRatio(ths []TenantHealth) float64 {
 	var min, max int64 = -1, 0
