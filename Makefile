@@ -36,10 +36,13 @@ faults:
 # a `patty serve` instance SIGKILLed with a job in flight must both
 # resume from their snapshots and converge to the same best
 # configuration as an uninterrupted run, with zero leaked goroutines;
-# plus the supervisor/breaker storm tests, the search-identity
-# regressions (a checkpoint never resumes across objectives), the
-# golden snapshot and the frame codec and checkpoint corruption sweeps.
-# Budgeted well under 60s.
+# the killed tune search must also report the reference's set of
+# faulted (quarantined) configurations; plus the supervisor and
+# intake-breaker storm tests, the search-identity regressions (a
+# checkpoint never resumes across objectives; a cached server answers
+# a faulting objective like a cache-free run), the golden snapshot and
+# the frame codec and checkpoint corruption sweeps. Budgeted well
+# under 60s.
 chaos:
 	$(GO) test -race -count=1 -timeout 60s \
 		-run 'KillRestart|ServeChaos|FuzzCheckpoint|Storm|Breaker|CheckpointResume|CorruptionEveryOffset|CoversObjective|DifferingInFaultSeed|GoldenSnapshot' \
@@ -67,13 +70,16 @@ serve-chaos:
 # search to the same best as a cache-free run; plus the frame codec
 # and store-open corruption sweeps, the golden segment, the
 # canonical-hash invariance suite, and the warm-vs-cold bit-identity
-# gates, all under -race. TestServeJobMemoization includes the
-# duplicate leg: a tune job resubmitted by another tenant with its
-# sources comment-perturbed must hit the store.
+# gates (a warm run, also of another algorithm and over a faulting
+# objective, equals the cache-free run; a cached fault reads back as a
+# fault, never as cost 0), all under -race. TestServeJobMemoization
+# includes the duplicate leg: a tune job resubmitted by another tenant
+# with its sources comment-perturbed must hit the store. TestStep pins
+# the one evaluation step's fault rule and lookup order.
 cachechaos:
 	$(GO) test -race -count=1 -timeout 120s \
-		-run 'CacheChaos|WarmCache|FrameCorruption|StoreOpenCorruption|GoldenSegment|ProgramHash|CacheResume|AnalyzeCache|CacheTable|JobCacheKey|CacheIdentity|ServeJobMemoization' \
-		./cmd/patty/ ./internal/evalcache/ ./internal/checkpoint/ ./internal/fleet/ ./internal/obs/ ./internal/report/
+		-run 'CacheChaos|WarmCache|FrameCorruption|StoreOpenCorruption|GoldenSegment|ProgramHash|CacheResume|AnalyzeCache|CacheTable|JobCacheKey|CacheIdentity|ServeJobMemoization|Step$$' \
+		./cmd/patty/ ./internal/evalcache/ ./internal/checkpoint/ ./internal/fleet/ ./internal/obs/ ./internal/report/ ./internal/tuning/
 
 # fleet is the distributed-tuning gate: the coordinator/worker suite
 # under -race — shard partitioning, lease expiry, work stealing,

@@ -14,30 +14,60 @@ import (
 )
 
 // TestRunTuneWarmCacheBitIdentical is the CLI half of the determinism
-// gate: a `patty tune -cache-dir` run answered entirely from a warm
-// store must produce the bit-identical outcome of the cold run that
-// populated it.
+// gate: a `patty tune -cache-dir` run answered from a warm store must
+// produce the bit-identical outcome of a cache-free run of the same
+// spec. The store is warmed by a cold run of the same spec or, over
+// the same objective, of another algorithm; a faulting objective must
+// read its faults back as faults, never as cost 0.
 func TestRunTuneWarmCacheBitIdentical(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "cas")
-	spec := tuneSpec{Algo: "linear", Budget: 60, Cores: 8, CacheDir: dir}
-
-	before := metrics.Snapshot().Counters["cache.hits"]
-	cold, err := runTune(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := metrics.Snapshot().Counters["cache.hits"] - before; d != 0 {
-		t.Fatalf("cold run hit the cache %d times", d)
-	}
-	warm, err := runTune(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(warm, cold) {
-		t.Fatalf("warm outcome diverged:\n got %+v\nwant %+v", warm, cold)
-	}
-	if d := metrics.Snapshot().Counters["cache.hits"] - before; d < int64(cold.Evaluations) {
-		t.Fatalf("warm run hit only %d of %d evaluations", d, cold.Evaluations)
+	faulting := tuneSpec{Algo: "tabu", Budget: 120, Cores: 8, FaultRate: 10, FaultSeed: 3}
+	linear := faulting
+	linear.Algo = "linear"
+	for _, tc := range []struct {
+		name       string
+		cold, warm tuneSpec
+	}{
+		{"linear", tuneSpec{Algo: "linear", Budget: 60, Cores: 8}, tuneSpec{Algo: "linear", Budget: 60, Cores: 8}},
+		{"faulting", faulting, faulting},
+		{"linear_then_tabu", linear, faulting},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), "cas")
+			want, err := runTune(context.Background(), tc.warm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := metrics.Snapshot().Counters["cache.hits"]
+			cold := tc.cold
+			cold.CacheDir = dir
+			if _, err := runTune(context.Background(), cold); err != nil {
+				t.Fatal(err)
+			}
+			if d := metrics.Snapshot().Counters["cache.hits"] - before; d != 0 {
+				t.Fatalf("cold run hit the cache %d times", d)
+			}
+			warm := tc.warm
+			warm.CacheDir = dir
+			got, err := runTune(context.Background(), warm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("warm outcome diverged from the cache-free run:\n got %+v\nwant %+v", got, want)
+			}
+			if d := metrics.Snapshot().Counters["cache.hits"] - before; d == 0 {
+				t.Fatal("warm run never hit the cache")
+			}
+			if tc.cold.Algo == tc.warm.Algo {
+				if d := metrics.Snapshot().Counters["cache.hits"] - before; d < int64(want.Evaluations) {
+					t.Fatalf("warm run hit only %d of %d evaluations", d, want.Evaluations)
+				}
+			}
+			if tc.warm.FaultRate > 0 && (len(want.Quarantined) == 0 || want.Cost != 81993) {
+				t.Fatalf("faulting reference: cost %.0f, quarantined %v; want 81993 and a non-empty set",
+					want.Cost, want.Quarantined)
+			}
+		})
 	}
 }
 

@@ -78,7 +78,8 @@ func startInprocWorker(pool int) (url string, stop func(), err error) {
 // guarantee: `patty tune -workers ...` at 1, 2 and 4 workers produces
 // the identical outcome — best, cost, evaluation count, trace and
 // quarantine set — as the plain in-process run, including through the
-// fault-injection path the replay breaker has to reproduce.
+// fault-injection path: the faulted configurations the replay reads
+// back are the ones the local run quarantined.
 func TestFleetTuneMatchesLocal(t *testing.T) {
 	t.Cleanup(ptest.NoLeaks(t))
 	t.Cleanup(http.DefaultClient.CloseIdleConnections)
@@ -88,6 +89,9 @@ func TestFleetTuneMatchesLocal(t *testing.T) {
 			ref, err := runTune(context.Background(), spec)
 			if err != nil {
 				t.Fatalf("reference run: %v", err)
+			}
+			if len(ref.Quarantined) == 0 {
+				t.Fatal("the reference met no faulted configuration")
 			}
 			for _, n := range []int{1, 2, 4} {
 				fspec := spec

@@ -11,6 +11,7 @@ import (
 	"reflect"
 	"testing"
 
+	"patty/internal/evalcache"
 	"patty/internal/jobs"
 	"patty/internal/obs"
 	"patty/internal/ptest"
@@ -50,7 +51,10 @@ func TestTuneCheckpointCoversObjective(t *testing.T) {
 // TestServeTuneJobsDifferingInFaultSeed: tune jobs that differ only in
 // fault_seed, submitted together to a server with a checkpoint
 // directory, must each return the answer of a fresh run of their own
-// spec — never a journal another job wrote.
+// spec — never a journal another job wrote. On a server with an
+// evaluation store, a linear job and then a tabu job over the same
+// faulting objective must each return the answer of a fresh cache-free
+// run, never a fault the store handed back as cost 0.
 func TestServeTuneJobsDifferingInFaultSeed(t *testing.T) {
 	t.Cleanup(ptest.NoLeaks(t))
 	t.Cleanup(http.DefaultClient.CloseIdleConnections)
@@ -76,22 +80,62 @@ func TestServeTuneJobsDifferingInFaultSeed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := http.Get(ts.URL + "/jobs/" + ids[i] + "?wait=1")
-		if err != nil {
-			t.Fatal(err)
-		}
-		r.Body.Close()
-		rr, err := http.Get(ts.URL + "/jobs/" + ids[i] + "/result")
-		if err != nil {
-			t.Fatal(err)
-		}
-		var res struct{ Result tuneOutcome }
-		json.NewDecoder(rr.Body).Decode(&res)
-		rr.Body.Close()
-		got := res.Result
+		got := tuneResult(t, ts.URL, ids[i])
 		if got.Cost != want.Cost || !reflect.DeepEqual(got.Best, want.Best) || got.Resumed != 0 {
 			t.Errorf("fault_seed %d: best %v cost %.0f (resumed %d), want fresh %v cost %.0f",
 				s, got.Best, got.Cost, got.Resumed, want.Best, want.Cost)
 		}
 	}
+
+	cache, err := evalcache.Open(filepath.Join(t.TempDir(), "cas"), evalcache.Options{Collector: obs.New()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	csvc := jobs.New(jobs.Options{Workers: 2, Collector: obs.New()})
+	csrv := newServer(csvc, t.TempDir())
+	csrv.cache = cache
+	cts := httptest.NewServer(csrv.mux())
+	t.Cleanup(func() {
+		cts.Close()
+		csvc.Close()
+		cache.Close()
+	})
+	for _, algo := range []string{"linear", "tabu"} {
+		body := fmt.Sprintf(`{"kind":"tune","algo":%q,"budget":120,"fault_rate":10,"fault_seed":3}`, algo)
+		id, code := postJob(t, cts.URL, body)
+		if code != http.StatusAccepted {
+			t.Fatalf("submit %s: HTTP %d", algo, code)
+		}
+		got := tuneResult(t, cts.URL, id)
+		want, err := runTune(context.Background(), tuneSpec{Algo: algo, Budget: 120, FaultRate: 10, FaultSeed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Cost != want.Cost || !reflect.DeepEqual(got.Best, want.Best) ||
+			got.Evaluations != want.Evaluations || !reflect.DeepEqual(got.Quarantined, want.Quarantined) {
+			t.Errorf("%s on the cached server: best %v cost %.0f evals %d quarantined %v, want fresh %v cost %.0f evals %d quarantined %v",
+				algo, got.Best, got.Cost, got.Evaluations, got.Quarantined,
+				want.Best, want.Cost, want.Evaluations, want.Quarantined)
+		}
+	}
+}
+
+// tuneResult waits for a tune job and decodes its outcome.
+func tuneResult(t *testing.T, base, id string) tuneOutcome {
+	t.Helper()
+	r, err := http.Get(base + "/jobs/" + id + "?wait=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Body.Close()
+	rr, err := http.Get(base + "/jobs/" + id + "/result")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rr.Body.Close()
+	var res struct{ Result tuneOutcome }
+	if err := json.NewDecoder(rr.Body).Decode(&res); err != nil {
+		t.Fatal(err)
+	}
+	return res.Result
 }

@@ -12,6 +12,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"syscall"
 	"testing"
@@ -113,9 +114,14 @@ func TestTuneKillRestartConverges(t *testing.T) {
 				t.Fatalf("resumed run explored %d configs, uninterrupted evaluated %d",
 					res.Explored, ref.Evaluations)
 			}
-			// The breaker's quarantine survives the kill too.
-			if len(ref.Quarantined) > 0 && len(res.Quarantined) == 0 {
-				t.Fatalf("quarantine set lost across restart (reference had %v)", ref.Quarantined)
+			// The spec faults, and the quarantine set survives the kill:
+			// the resumed run reports exactly the reference's faulted
+			// configurations.
+			if len(ref.Quarantined) == 0 {
+				t.Fatal("the gate spec's reference met no faulted configuration")
+			}
+			if !reflect.DeepEqual(res.Quarantined, ref.Quarantined) {
+				t.Fatalf("resumed run quarantined %v, uninterrupted run %v", res.Quarantined, ref.Quarantined)
 			}
 		})
 	}

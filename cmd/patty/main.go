@@ -138,7 +138,7 @@ commands:
             [-checkpoint f.ckpt] [-fault-rate p] [-eval-delay ms]
             [-workers url1,url2,...] [-cache-dir dir]
             auto-tuning; with -checkpoint a killed run resumes where it
-            stopped, faulting configs are quarantined by a breaker;
+            stopped; a faulted config costs +Inf and is never re-measured;
             with -workers the search is sharded across patty worker
             processes and merged to the identical result; with
             -cache-dir measured configs persist in a content-addressed

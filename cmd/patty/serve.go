@@ -109,7 +109,8 @@ func jobCacheKey(req jobRequest) (evalcache.Key, bool) {
 	norm := req
 	norm.Tenant = ""   // attribution, not identity
 	norm.Sources = nil // carried by the program slot
-	cfg, err := evalcache.SpecHash("serve-job/v1", norm)
+	// v2: a v1 tune answer may rest on a fault cached as cost 0.
+	cfg, err := evalcache.SpecHash("serve-job/v2", norm)
 	if err != nil {
 		return evalcache.Key{}, false
 	}
@@ -201,18 +202,11 @@ func (s *server) buildRunner(req jobRequest) (jobs.Runner, string, error) {
 			ckpt = filepath.Join(s.ckptDir, fmt.Sprintf("fuzz-s%d-n%d.ckpt", seed, n))
 		}
 		return func(ctx context.Context) (any, error) {
-			var sum *difftest.Summary
-			var err error
-			if ckpt != "" {
-				var b *difftest.Batch
-				b, _, err = difftest.NewBatch(ckpt, seed, n)
-				if err != nil {
-					return nil, err
-				}
-				sum, err = b.Run(ctx, opt, nil)
-			} else {
-				sum, err = difftest.RunCtx(ctx, seed, n, opt, nil)
+			b, _, err := difftest.NewBatch(ckpt, seed, n)
+			if err != nil {
+				return nil, err
 			}
+			sum, err := b.Run(ctx, opt, nil)
 			if err != nil {
 				return nil, err
 			}

@@ -13,7 +13,6 @@ import (
 
 	"patty/internal/evalcache"
 	"patty/internal/fleet"
-	"patty/internal/jobs"
 	"patty/internal/netchaos"
 	"patty/internal/obs"
 	"patty/internal/perfmodel"
@@ -36,14 +35,12 @@ type tuneSpec struct {
 	// harnesses use it to land a SIGKILL mid-search).
 	EvalDelayMs int `json:"eval_delay_ms,omitempty"`
 	// FaultRate (percent) makes that fraction of configurations fault
-	// persistently, chosen by a deterministic hash with FaultSeed, so
-	// the circuit breaker has something to quarantine and a restarted
-	// run condemns the same configurations.
+	// persistently (cost +Inf), chosen by a deterministic hash with
+	// FaultSeed: each such configuration is recorded as faulted, listed
+	// in the outcome's quarantine set and never measured again, and a
+	// restarted run condemns the same configurations.
 	FaultRate int   `json:"fault_rate,omitempty"`
 	FaultSeed int64 `json:"fault_seed,omitempty"`
-	// BreakerThreshold is the consecutive-fault count that quarantines
-	// a configuration (default 3).
-	BreakerThreshold int `json:"breaker_threshold,omitempty"`
 	// Workers, when non-empty, shards the search across these `patty
 	// worker` base URLs instead of evaluating in-process; the merged
 	// result is identical to the local run by construction (see
@@ -84,9 +81,6 @@ func (s tuneSpec) withDefaults() tuneSpec {
 	}
 	if s.Cores <= 0 {
 		s.Cores = 8
-	}
-	if s.BreakerThreshold <= 0 {
-		s.BreakerThreshold = 3
 	}
 	return s
 }
@@ -176,7 +170,8 @@ func (s tuneSpec) cacheIdentity() (string, int64) {
 	es := s.evalSpec()
 	es.EvalDelayMs = 0
 	es.FaultSeed = 0 // carried by the key's seed slot instead
-	h, err := evalcache.SpecHash("tune-workload/v1", es)
+	// v2: a v1 store may hold a faulted configuration as cost 0.
+	h, err := evalcache.SpecHash("tune-workload/v2", es)
 	if err != nil { // unreachable: evalSpec is plain marshalable data
 		return "", 0
 	}
@@ -287,12 +282,12 @@ func faultsConfig(a map[string]int, rate int, fseed int64) bool {
 	return int(h.Sum64()%100) < rate
 }
 
-// runTune executes one auto-tuning search with the full supervision
-// stack: Observed measurement, circuit breaker quarantine, and
-// (optionally) the crash-safe evaluation journal. The wrapper order,
-// innermost first: raw objective → fault/delay shims → Observed.Wrap
-// (measures, flags faults) → GuardObjective (retries, quarantines) →
-// Checkpointer.Wrap (journals, replays) → the tuner's own evaluator.
+// runTune executes one auto-tuning search in-process. Every
+// configuration the tuner asks for goes through one tuning.Step: the
+// journal (spec.Checkpoint, in memory without one), then the
+// evaluation store, then a measurement of the objective with its fault
+// and delay shims. Faulted configurations come back as +Inf and make
+// up the outcome's quarantine set.
 func runTune(ctx context.Context, spec tuneSpec) (*tuneOutcome, error) {
 	spec = spec.withDefaults()
 	tn, err := tunerFor(spec.Algo)
@@ -306,41 +301,24 @@ func runTune(ctx context.Context, spec tuneSpec) (*tuneOutcome, error) {
 		return nil, err
 	}
 	defer closeCache()
-
-	// The Observed gets a private collector: its per-evaluation Reset
-	// must not wipe the process-wide jobs.* instruments.
-	o := &tuning.Observed{Collector: obs.New()}
-	if cache != nil {
-		prog, cseed := spec.cacheIdentity()
-		o.Cache, o.CacheProgram, o.CacheSeed = cache, prog, cseed
-		o.CacheTenant = spec.cacheTenant
+	ck, _, err := tuning.NewCheckpointer(spec.Checkpoint, spec.searchMeta())
+	if err != nil {
+		return nil, err
 	}
-	br := jobs.NewBreaker(spec.BreakerThreshold, 30*time.Second).Instrument(metrics)
-	obj = jobs.GuardObjective(br, o, o.Wrap(obj))
+	step := &tuning.Step{Journal: ck, Cache: cache, Tenant: spec.cacheTenant}
+	step.Program, step.Seed = spec.cacheIdentity()
 
-	var ck *tuning.Checkpointer
-	if spec.Checkpoint != "" {
-		var err error
-		ck, _, err = tuning.NewCheckpointer(spec.Checkpoint, spec.searchMeta())
-		if err != nil {
-			return nil, err
-		}
-		br.Restore(ck.Quarantined())
-		ck.Quarantine = br.Quarantined
-		obj = ck.Wrap(obj)
-	}
-
-	res := tn.TuneCtx(ctx, dims, start, obj, spec.Budget)
+	res := tn.TuneCtx(ctx, dims, start, step.Objective(obj), spec.Budget)
 	out := &tuneOutcome{
 		Algo:        tn.Name(),
 		Best:        res.Best,
 		Cost:        res.BestCost,
 		Evaluations: res.Evaluations,
 		Interrupted: res.Interrupted,
-		Quarantined: br.Quarantined(),
+		Quarantined: step.Quarantined(),
 		Trace:       res.Trace,
 	}
-	if ck != nil {
+	if spec.Checkpoint != "" {
 		if err := ck.Flush(); err != nil {
 			return out, fmt.Errorf("checkpoint not durable: %w", err)
 		}
@@ -386,16 +364,14 @@ func runFleetTune(ctx context.Context, spec tuneSpec) (*tuneOutcome, error) {
 	}
 	defer closeCache()
 	fopts := fleet.Options{
-		Workers:          spec.Workers,
-		Spec:             specJSON,
-		LocalObjective:   obj,
-		Checkpoint:       spec.Checkpoint,
-		Collector:        metrics,
-		BreakerThreshold: spec.BreakerThreshold,
-		Observed:         &tuning.Observed{Collector: obs.New()},
-		Client:           client,
-		CrossCheck:       spec.CrossCheck,
-		LeaseTTL:         time.Duration(spec.LeaseTTLMs) * time.Millisecond,
+		Workers:        spec.Workers,
+		Spec:           specJSON,
+		LocalObjective: obj,
+		Checkpoint:     spec.Checkpoint,
+		Collector:      metrics,
+		Client:         client,
+		CrossCheck:     spec.CrossCheck,
+		LeaseTTL:       time.Duration(spec.LeaseTTLMs) * time.Millisecond,
 	}
 	fopts.Program, fopts.Seed = spec.cacheIdentity()
 	if cache != nil {
@@ -431,7 +407,7 @@ func cmdTune(ctx context.Context, args []string) error {
 	fs.IntVar(&spec.Cores, "cores", 8, "modelled core count")
 	fs.StringVar(&spec.Checkpoint, "checkpoint", "", "journal evaluations to this file and resume from it")
 	fs.IntVar(&spec.EvalDelayMs, "eval-delay", 0, "milliseconds each fresh evaluation takes (kill-harness pacing)")
-	fs.IntVar(&spec.FaultRate, "fault-rate", 0, "percent of configurations that fault persistently (breaker demo)")
+	fs.IntVar(&spec.FaultRate, "fault-rate", 0, "percent of configurations that fault persistently (quarantine demo)")
 	fs.Int64Var(&spec.FaultSeed, "fault-seed", 1, "seed selecting which configurations fault")
 	workersFlag := fs.String("workers", "", "comma-separated worker URLs: shard the search across patty worker processes")
 	netChaosFlag := fs.String("net-chaos", "", `wire-fault plan JSON (or "gate" for the pinned drill plan): inject deterministic faults into shard dispatch`)
@@ -490,7 +466,7 @@ func cmdTune(ctx context.Context, args []string) error {
 			spec.Checkpoint, out.Explored, out.Resumed)
 	}
 	if len(out.Quarantined) > 0 {
-		fmt.Printf("breaker quarantined %d configuration(s): %v\n", len(out.Quarantined), out.Quarantined)
+		fmt.Printf("quarantined %d faulted configuration(s): %v\n", len(out.Quarantined), out.Quarantined)
 	}
 	if err != nil {
 		return err

@@ -31,19 +31,25 @@ type BatchState struct {
 	DivergentSeeds []int64        `json:"divergent_seeds,omitempty"`
 }
 
-// Batch is a checkpointed fuzz sweep.
+// Batch is a fuzz sweep, checkpointed when it has a path. Every sweep
+// runs through Batch.Run: difftest.Run and serve's fuzz jobs without a
+// checkpoint directory use a Batch with no path.
 type Batch struct {
 	path  string
 	state BatchState
 }
 
-// NewBatch opens or creates the sweep snapshot at path. resumed
-// reports how many programs a previous run already checked. A
-// snapshot for a different (baseSeed, n) fails with ErrBatchMismatch;
-// a damaged one with checkpoint.ErrCorruptCheckpoint.
+// NewBatch opens or creates the sweep snapshot at path; an empty path
+// sweeps without a snapshot. resumed reports how many programs a
+// previous run already checked. A snapshot for a different
+// (baseSeed, n) fails with ErrBatchMismatch; a damaged one with
+// checkpoint.ErrCorruptCheckpoint.
 func NewBatch(path string, baseSeed int64, n int) (b *Batch, resumed int, err error) {
 	b = &Batch{path: path}
 	b.state = BatchState{BaseSeed: baseSeed, N: n, Kinds: make(map[string]int)}
+	if path == "" {
+		return b, 0, nil
+	}
 	err = checkpoint.Load(path, BatchKind, &b.state)
 	switch {
 	case errors.Is(err, fs.ErrNotExist):
@@ -65,9 +71,13 @@ func NewBatch(path string, baseSeed int64, n int) (b *Batch, resumed int, err er
 // Resumed is the number of programs loaded as already checked.
 func (b *Batch) Resumed() int { return b.state.Next }
 
-// save snapshots the sweep; checkpoint.Save is atomic, so a kill
-// between programs loses at most the program in flight.
+// save snapshots the sweep (a no-op without a path); checkpoint.Save
+// is atomic, so a kill between programs loses at most the program in
+// flight.
 func (b *Batch) save() error {
+	if b.path == "" {
+		return nil
+	}
 	return checkpoint.Save(b.path, BatchKind, &b.state)
 }
 
@@ -111,29 +121,6 @@ func (b *Batch) Run(ctx context.Context, opt Options, progress func(string)) (*S
 		b.state.Next = i + 1
 		if err := b.save(); err != nil {
 			return sum, err
-		}
-	}
-	return sum, nil
-}
-
-// RunCtx is Run (package-level) with cancellation: it checks ctx
-// between programs and returns the partial summary with ctx.Err() when
-// interrupted. No checkpoint is written; use Batch for that.
-func RunCtx(ctx context.Context, baseSeed int64, n int, opt Options, progress func(string)) (*Summary, error) {
-	sum := &Summary{Kinds: make(map[string]int)}
-	for i := 0; i < n; i++ {
-		if ctx.Err() != nil {
-			return sum, ctx.Err()
-		}
-		s := seed.Mix(baseSeed, int64(i))
-		res := Check(Generate(s, GenOptions{}), opt)
-		sum.Programs++
-		sum.Kinds[res.Kind]++
-		if res.Div != nil {
-			sum.Divergences = append(sum.Divergences, res)
-			if progress != nil {
-				progress(res.Div.String())
-			}
 		}
 	}
 	return sum, nil

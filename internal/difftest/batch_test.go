@@ -117,10 +117,16 @@ func TestBatchCorruptSurfacesTyped(t *testing.T) {
 	}
 }
 
-func TestRunCtxCancelImmediately(t *testing.T) {
+// TestBatchCancelImmediately: a pre-canceled sweep without a snapshot
+// checks nothing and reports the cancellation.
+func TestBatchCancelImmediately(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	sum, err := RunCtx(ctx, 1, 10, batchOpts(), nil)
+	b, resumed, err := NewBatch("", 1, 10)
+	if err != nil || resumed != 0 {
+		t.Fatalf("in-memory batch: resumed=%d err=%v", resumed, err)
+	}
+	sum, err := b.Run(ctx, batchOpts(), nil)
 	if !errors.Is(err, context.Canceled) || sum.Programs != 0 {
 		t.Fatalf("pre-canceled sweep: programs=%d err=%v", sum.Programs, err)
 	}

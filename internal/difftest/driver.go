@@ -451,8 +451,9 @@ type Summary struct {
 
 // Run generates and checks n programs with per-program seeds derived
 // from baseSeed, reporting each divergence through progress (which
-// may be nil). It is RunCtx without cancellation (batch.go).
+// may be nil). It is an uncheckpointed, uncancellable Batch.
 func Run(baseSeed int64, n int, opt Options, progress func(string)) *Summary {
-	sum, _ := RunCtx(context.Background(), baseSeed, n, opt, progress)
+	b, _, _ := NewBatch("", baseSeed, n)
+	sum, _ := b.Run(context.Background(), opt, progress)
 	return sum
 }

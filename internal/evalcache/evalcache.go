@@ -56,9 +56,9 @@ func (k Key) String() string {
 }
 
 // Entry is one cached evaluation. Cost is the measured objective;
-// Faulted records a measurement that ended in +Inf (panic, injected
-// fault) — IEEE infinities don't survive JSON, so the flag carries
-// them. Payload optionally holds a full result document (serve uses it
+// Faulted records a faulted measurement (a panic or a non-finite cost,
+// see tuning.Measure) — IEEE infinities don't survive JSON, so the
+// flag carries them, and tuning.Step reads it back as +Inf. Payload optionally holds a full result document (serve uses it
 // to answer whole resubmitted jobs). Tenant records who paid for the
 // measurement — attribution only, never part of the address: the cost
 // of a pure objective is tenant-independent, which is exactly why
@@ -75,18 +75,6 @@ type Entry struct {
 
 // Key returns the entry's address.
 func (e Entry) Key() Key { return Key{Program: e.Program, Config: e.Config, Seed: e.Seed} }
-
-// EffectiveCost reconstructs the measured cost, mapping the Faulted
-// flag back to +Inf so a cached faulted config trips breakers exactly
-// like a fresh measurement would.
-func (e Entry) EffectiveCost() float64 {
-	if e.Faulted {
-		return inf()
-	}
-	return e.Cost
-}
-
-func inf() float64 { f := 0.0; return 1 / f }
 
 const (
 	// DefaultMaxBytes bounds the store at 64 MiB unless overridden.

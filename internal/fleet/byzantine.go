@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strings"
 
-	"patty/internal/evalcache"
 	"patty/internal/obs"
 	"patty/internal/seed"
 	"patty/internal/tuning"
@@ -197,22 +196,22 @@ func costsAgree(reported, truth, tol float64) bool {
 	return math.Abs(reported-truth) <= tol*math.Max(1, math.Max(math.Abs(reported), math.Abs(truth)))
 }
 
-// localTruth returns the honest cost of an assignment, evaluating
+// localTruth returns the honest record of an assignment, measuring
 // LocalObjective at most once per key (cached across audits and
 // re-verification).
-func (s *scheduler) localTruth(a map[string]int, opts Options) float64 {
+func (s *scheduler) localTruth(a map[string]int, opts Options) tuning.EvalRecord {
 	key := tuning.AssignKey(a)
 	s.mu.Lock()
-	if c, ok := s.truth[key]; ok {
+	if rec, ok := s.truth[key]; ok {
 		s.mu.Unlock()
-		return c
+		return rec
 	}
 	s.mu.Unlock()
-	cost := opts.LocalObjective(a) // outside the lock: may be slow
+	rec := tuning.Measure(opts.LocalObjective, a) // outside the lock: may be slow
 	s.mu.Lock()
-	s.truth[key] = cost
+	s.truth[key] = rec
 	s.mu.Unlock()
-	return cost
+	return rec
 }
 
 // crossCheck audits one shard response: re-evaluate the seeded sample
@@ -225,7 +224,7 @@ func (s *scheduler) crossCheck(worker string, req ShardRequest, resp *ShardRespo
 	divergent := false
 	for _, idx := range pickSample(opts.CrossCheckSeed, req.Search, req.Shard, len(resp.Evals), opts.CrossCheck) {
 		reported := resp.Evals[idx].EffectiveCost()
-		truth := s.localTruth(resp.Evals[idx].Assignment, opts)
+		truth := s.localTruth(resp.Evals[idx].Assignment, opts).EffectiveCost()
 		s.mu.Lock()
 		h := s.healthOf(worker)
 		h.checked++
@@ -249,7 +248,7 @@ func (s *scheduler) crossCheck(worker string, req ShardRequest, resp *ShardRespo
 // rest of the search), then re-verify every evaluation the worker
 // previously contributed to the merge — records whose cost disagrees
 // with the locally re-measured truth are corrected in the table and
-// the checkpoint journal. After this the merged table contains only
+// the shared store. After this the merged table contains only
 // honest costs, which is what keeps the replay bit-identical to a
 // local run.
 func (s *scheduler) quarantine(worker string, opts Options) {
@@ -270,7 +269,8 @@ func (s *scheduler) quarantine(worker string, opts Options) {
 	var suspect []tuning.EvalRecord
 	for key, src := range s.source {
 		if src == worker {
-			suspect = append(suspect, s.table[key])
+			rec, _ := s.ck.Lookup(key)
+			suspect = append(suspect, rec)
 		}
 	}
 	s.mu.Unlock()
@@ -280,34 +280,19 @@ func (s *scheduler) quarantine(worker string, opts Options) {
 		s.mu.Lock()
 		s.stats.Reverified++
 		s.inst.reverified.Inc()
-		if !costsAgree(rec.EffectiveCost(), truth, opts.CrossCheckTol) {
-			fixed := tuning.EvalRecord{Assignment: rec.Assignment, Cost: truth}
-			if math.IsInf(truth, 0) || math.IsNaN(truth) {
-				fixed.Cost, fixed.Faulted = 0, true
-			}
-			key := tuning.AssignKey(rec.Assignment)
-			s.table[key] = fixed
-			delete(s.source, key) // now locally vouched for
-			if s.ck != nil {
-				s.ck.Correct(rec.Assignment, truth)
-			}
-			if s.cache != nil {
-				// The liar's cost reached the shared store when its shard
-				// merged; a poisoned entry must not outlive the search,
-				// let alone answer another tenant's job. Correct appends
-				// the repair durably (replay is last-wins).
-				s.cache.Correct(evalcache.Entry{
-					Program: s.cacheProg, Config: key, Seed: s.cacheSeed,
-					Cost: fixed.Cost, Faulted: fixed.Faulted,
-				})
-			}
+		if !costsAgree(rec.EffectiveCost(), truth.EffectiveCost(), opts.CrossCheckTol) {
+			// The liar's cost reached the journal and the shared store
+			// when its shard merged; a poisoned entry must not outlive
+			// the search, let alone answer another tenant's job.
+			s.step.Correct(truth)
+			delete(s.source, tuning.AssignKey(rec.Assignment)) // now locally vouched for
 			s.stats.Corrected++
 			s.inst.corrected.Inc()
 		}
 		s.mu.Unlock()
 	}
 	s.mu.Lock()
-	if s.ck != nil && s.stats.Corrected > 0 {
+	if s.stats.Corrected > 0 {
 		s.ck.Flush() // best effort; the final Flush reports errors
 	}
 	s.cond.Broadcast()

@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"math/rand"
 	"net/http"
 	"strconv"
@@ -39,15 +38,6 @@ type Options struct {
 	Checkpoint string
 	// Collector receives the fleet.* metrics (nil: discarded).
 	Collector *obs.Collector
-
-	// BreakerThreshold is the replay's config-quarantine threshold
-	// (default 3), matching the local runTune breaker.
-	BreakerThreshold int
-	// Observed, when set, mediates the replay's fault attribution the
-	// way the local tune path does: only panics and fault-policy
-	// analyses count as faults, not a bare +Inf cost. Nil keeps the
-	// stricter default where any Inf/NaN cost trips the breaker.
-	Observed *tuning.Observed
 	// ShardSize caps configurations per shard. Default: the space split
 	// four ways per worker, so stealing has slack to work with.
 	ShardSize int
@@ -80,8 +70,8 @@ type Options struct {
 	// evaluation store, keyed by (Program, config, Seed): enumerated
 	// configurations already cached are merged into the table before
 	// sharding (they never hit the wire), every fresh merged
-	// evaluation is journaled into it, and byzantine repairs correct
-	// it. CacheTenant attributes hits.
+	// evaluation is recorded in it, and byzantine repairs correct it.
+	// CacheTenant attributes hits.
 	Cache       *evalcache.Store
 	CacheTenant string
 
@@ -104,9 +94,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults(space int) Options {
-	if o.BreakerThreshold <= 0 {
-		o.BreakerThreshold = 3
-	}
 	if o.ShardSize <= 0 {
 		per := space / (4 * max(len(o.Workers), 1))
 		o.ShardSize = max(per, 1)
@@ -155,7 +142,7 @@ type Stats struct {
 	LocalEvals   int      // replay table misses evaluated locally
 	Resumed      int      // evaluations re-adopted from the checkpoint
 	CacheHits    int      // configs answered from the shared store before sharding
-	Quarantined  []string // configs the replay breaker quarantined
+	Quarantined  []string // faulted configs the replay read back
 
 	// Hostile-network ledger.
 	NetFaults map[string]int // classified dispatch faults by FaultClass
@@ -181,42 +168,21 @@ type scheduler struct {
 	done    map[int]bool
 	nDone   int
 
-	table  map[string]tuning.EvalRecord // merged costs by assignment key
+	// ck is the merge table: the checkpoint journal, in memory when
+	// checkpointing is off. step records into it and the shared
+	// evaluation store, and the replay evaluates through it.
+	ck     *tuning.Checkpointer
+	step   *tuning.Step
 	source map[string]string            // eval key -> worker that produced the merged record
-	truth  map[string]float64           // locally re-measured costs (audit cache)
+	truth  map[string]tuning.EvalRecord // locally re-measured records (audit cache)
 	health map[string]*workerHealth     // per-worker scorecards
 	byz    *jobs.Breaker                // byzantine quarantine (keyed by worker URL)
-	ck     *tuning.Checkpointer         // nil when checkpointing is off
 
 	stats Stats
 	inst  fleetInstruments
 	coll  *obs.Collector // for dynamic fleet.net.* / fleet.peer.* keys
 
-	// Shared evaluation store (nil when caching is off): merged costs
-	// are journaled into it and byzantine repairs correct it.
-	cache       *evalcache.Store
-	cacheProg   string
-	cacheSeed   int64
-	cacheTenant string
-
 	now func() time.Time
-}
-
-// cachePut journals one merged record into the shared store (no-op
-// without a cache). The cache fields are immutable after setup and the
-// store has its own lock, so this is safe with or without s.mu held.
-func (s *scheduler) cachePut(key string, rec tuning.EvalRecord) {
-	if s.cache == nil {
-		return
-	}
-	e := evalcache.Entry{
-		Program: s.cacheProg, Config: key, Seed: s.cacheSeed,
-		Cost: rec.Cost, Faulted: rec.Faulted, Tenant: s.cacheTenant,
-	}
-	if math.IsInf(e.Cost, 0) || math.IsNaN(e.Cost) {
-		e.Cost, e.Faulted = 0, true // +Inf is not JSON-encodable; the flag carries it
-	}
-	s.cache.Put(e)
 }
 
 type leaseIn struct {
@@ -364,30 +330,25 @@ func (s *scheduler) complete(id int, worker string, evals []tuning.EvalRecord, r
 	h := s.healthOf(worker)
 	fresh := 0
 	for _, rec := range evals {
-		key := tuning.AssignKey(rec.Assignment)
-		if _, ok := s.table[key]; ok {
+		if !s.step.Record(rec) {
 			s.stats.Duplicates++
 			s.inst.duplicate.Inc()
 			continue
 		}
-		s.table[key] = rec
-		s.source[key] = worker // provenance: re-verified if the worker turns byzantine
+		// Provenance: re-verified if the worker turns byzantine.
+		s.source[tuning.AssignKey(rec.Assignment)] = worker
 		s.stats.Merged++
 		s.inst.merged.Inc()
 		h.evals++
 		h.inst.evals.Inc()
 		fresh++
-		if s.ck != nil {
-			s.ck.Record(rec.Assignment, rec.EffectiveCost())
-		}
-		s.cachePut(key, rec)
 	}
 	if !s.done[id] {
 		s.done[id] = true
 		s.nDone++
 		delete(s.lease, id)
 		s.inst.shardsDone.Inc()
-		if s.ck != nil && fresh > 0 {
+		if fresh > 0 {
 			s.ck.Flush() // best effort; the final Flush reports errors
 		}
 	}
@@ -492,12 +453,19 @@ func Tune(ctx context.Context, tn tuning.Tuner, dims []tuning.Dim, start map[str
 
 	meta := tuning.SearchMeta{Algo: tn.Name(), Budget: budget, Dims: dims, Start: start,
 		Objective: tuning.ObjectiveID(opts.Program, opts.Seed)}
+	// Resume: re-adopt the merged prefix from the journal; only the
+	// remainder of the space is sharded out.
+	ck, resumed, err := tuning.NewCheckpointer(opts.Checkpoint, meta)
+	if err != nil {
+		return tuning.Result{}, nil, err
+	}
 	sched := &scheduler{
 		lease:  make(map[int]*leaseIn),
 		done:   make(map[int]bool),
-		table:  make(map[string]tuning.EvalRecord),
+		ck:     ck,
+		step:   &tuning.Step{Journal: ck, Cache: opts.Cache, Program: opts.Program, Seed: opts.Seed, Tenant: opts.CacheTenant},
 		source: make(map[string]string),
-		truth:  make(map[string]float64),
+		truth:  make(map[string]tuning.EvalRecord),
 		health: make(map[string]*workerHealth),
 		// One divergence is enough: a worker caught lying about a pure
 		// function stays out for the rest of the search.
@@ -507,64 +475,37 @@ func Tune(ctx context.Context, tn tuning.Tuner, dims []tuning.Dim, start map[str
 		now:  time.Now,
 	}
 	sched.stats.NetFaults = make(map[string]int)
+	sched.stats.Resumed = resumed
+	sched.inst.resumed.Add(int64(resumed))
 	sched.cond = sync.NewCond(&sched.mu)
-	if opts.Cache != nil {
-		sched.cache = opts.Cache
-		sched.cacheProg = opts.Program
-		sched.cacheSeed = opts.Seed
-		sched.cacheTenant = opts.CacheTenant
-	}
-
-	// Resume: re-adopt the merged prefix and the quarantine set from the
-	// journal; only the remainder of the space is sharded out.
 	exclude := make(map[string]bool)
-	if opts.Checkpoint != "" {
-		ck, resumed, err := tuning.NewCheckpointer(opts.Checkpoint, meta)
-		if err != nil {
-			return tuning.Result{}, nil, err
-		}
-		sched.ck = ck
-		sched.stats.Resumed = resumed
-		for _, rec := range ck.Records() {
-			key := tuning.AssignKey(rec.Assignment)
-			sched.table[key] = rec
-			exclude[key] = true
-			sched.inst.resumed.Inc()
-		}
-		for _, key := range ck.Quarantined() {
-			exclude[key] = true
-		}
+	for _, rec := range ck.Records() {
+		exclude[tuning.AssignKey(rec.Assignment)] = true
 	}
 
 	// Cache pre-filter: enumerated configurations already in the shared
 	// store merge straight into the table — they never hit the wire.
-	// Journaling them through the checkpointer keeps the resume path
-	// agnostic to where a cost came from.
-	if sched.cache != nil {
-		for _, a := range Enumerate(dims, start) {
+	configs := Enumerate(dims, start)
+	if opts.Cache != nil {
+		for _, a := range configs {
 			key := tuning.AssignKey(a)
 			if exclude[key] {
 				continue
 			}
-			e, ok := sched.cache.Get(evalcache.Key{Program: sched.cacheProg, Config: key, Seed: sched.cacheSeed}, sched.cacheTenant)
-			if !ok {
+			if _, ok := sched.step.Lookup(a); !ok {
 				continue
 			}
-			sched.table[key] = tuning.EvalRecord{Assignment: copyAssign(a), Cost: e.Cost, Faulted: e.Faulted}
 			exclude[key] = true
 			sched.stats.CacheHits++
 			sched.stats.Merged++
 			sched.inst.merged.Inc()
-			if sched.ck != nil {
-				sched.ck.Record(a, e.EffectiveCost())
-			}
 		}
-		if sched.ck != nil && sched.stats.CacheHits > 0 {
-			sched.ck.Flush()
+		if sched.stats.CacheHits > 0 {
+			ck.Flush()
 		}
 	}
 
-	sched.shards = Partition(Enumerate(dims, start), opts.ShardSize, exclude)
+	sched.shards = Partition(configs, opts.ShardSize, exclude)
 	for i := range sched.shards {
 		sched.pending = append(sched.pending, i)
 	}
@@ -669,52 +610,28 @@ func Tune(ctx context.Context, tn tuning.Tuner, dims []tuning.Dim, start map[str
 		// Every worker was benched or quarantined with shards
 		// outstanding. The merged prefix is journaled; a re-run (fleet
 		// or local) resumes it.
-		if sched.ck != nil {
-			sched.ck.Flush()
-		}
+		ck.Flush()
 		st := sched.stats
 		return tuning.Result{}, &st, fmt.Errorf("fleet: all %d workers lost (%d benched, %d quarantined) with %d of %d shards unfinished",
 			len(opts.Workers), st.WorkersLost, len(st.ByzantineQuarantined), unfinished, len(sched.shards))
 	}
 
 	// Replay: run the actual search algorithm locally against the merged
-	// table. The breaker mirrors the local runTune quarantine semantics;
-	// a table miss (exotic tuner step outside the enumerated superset)
-	// falls back to one local evaluation, which objective purity keeps
+	// table, through the same evaluation step a local run uses. A table
+	// miss (exotic tuner step outside the enumerated superset) falls
+	// back to one local evaluation, which objective purity keeps
 	// identical to what a worker would have measured.
-	br := jobs.NewBreaker(opts.BreakerThreshold, 30*time.Second).Instrument(opts.Collector)
-	if sched.ck != nil {
-		br.Restore(sched.ck.Quarantined())
-	}
-	tableObj := func(a map[string]int) float64 {
-		key := tuning.AssignKey(a)
-		if rec, ok := sched.table[key]; ok {
-			return rec.EffectiveCost()
-		}
-		cost := opts.LocalObjective(a)
+	local := func(a map[string]int) float64 {
 		sched.stats.LocalEvals++
 		sched.inst.local.Inc()
-		rec := tuning.EvalRecord{Assignment: copyAssign(a), Cost: cost}
-		sched.table[key] = rec
-		if sched.ck != nil {
-			sched.ck.Record(a, cost)
-		}
-		sched.cachePut(key, rec)
-		return cost
+		return opts.LocalObjective(a)
 	}
-	guarded := tableObj
-	if opts.Observed != nil {
-		guarded = opts.Observed.Wrap(guarded)
-	}
-	res := tn.TuneCtx(ctx, dims, start, jobs.GuardObjective(br, opts.Observed, guarded), budget)
+	res := tn.TuneCtx(ctx, dims, start, sched.step.Objective(local), budget)
 
-	sched.stats.Quarantined = br.Quarantined()
-	if sched.ck != nil {
-		sched.ck.Quarantine = br.Quarantined
-		if err := sched.ck.Flush(); err != nil {
-			st := sched.stats
-			return res, &st, fmt.Errorf("fleet: checkpoint not durable: %w", err)
-		}
+	sched.stats.Quarantined = sched.step.Quarantined()
+	if err := ck.Flush(); err != nil {
+		st := sched.stats
+		return res, &st, fmt.Errorf("fleet: checkpoint not durable: %w", err)
 	}
 	st := sched.stats
 	return res, &st, nil

@@ -12,6 +12,7 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -232,70 +233,98 @@ func TestTuneDeterministicAcrossWorkerCounts(t *testing.T) {
 // evaluation store: a search run against a warm cache must produce the
 // bit-identical Result of a cold run — and do so without measuring a
 // single configuration or dispatching a single shard, because the
-// pre-filter answers the entire enumerated space from the store.
+// pre-filter answers the entire enumerated space from the store. A
+// faulting objective must read its faults back as faults.
 func TestTuneWarmCacheBitIdentical(t *testing.T) {
 	t.Cleanup(ptest.NoLeaks(t))
-	dims, start, obj := testSpace()
-	tn := tuning.LinearSearch{}
-	dir := filepath.Join(t.TempDir(), "cas")
+	dims, start, pure := testSpace()
+	faulting := func(a map[string]int) float64 {
+		if a["y"] == 1 || a["x"] == 6 { // the optimum faults
+			return math.Inf(1)
+		}
+		return pure(a)
+	}
+	for _, tc := range []struct {
+		name string
+		obj  tuning.Objective
+	}{{"pure", pure}, {"faulting", faulting}} {
+		t.Run(tc.name, func(t *testing.T) {
+			tn := tuning.LinearSearch{}
+			dir := filepath.Join(t.TempDir(), "cas")
 
-	// Cold run: workers measure everything; complete() journals each
-	// merged record into the store.
-	cold, err := evalcache.Open(dir, evalcache.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var coldCalls atomic.Int64
-	urlCold, _ := startWorker(t, countingHook(obj, &coldCalls), "")
-	opts := Options{
-		Workers:        []string{urlCold},
-		LocalObjective: obj,
-		Cache:          cold,
-		Program:        testProgram,
-		Seed:           7,
-	}
-	resCold, stCold, err := Tune(context.Background(), tn, dims, start, 120, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stCold.CacheHits != 0 {
-		t.Fatalf("cold run reported %d cache hits", stCold.CacheHits)
-	}
-	if cold.Len() != SpaceSize(dims, start) {
-		t.Fatalf("store holds %d entries after the cold run, space is %d", cold.Len(), SpaceSize(dims, start))
-	}
-	if err := cold.Close(); err != nil {
-		t.Fatal(err)
-	}
+			// Cold run: workers measure everything; complete() records each
+			// merged record in the store.
+			cold, err := evalcache.Open(dir, evalcache.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var coldCalls atomic.Int64
+			urlCold, _ := startWorker(t, countingHook(tc.obj, &coldCalls), "")
+			opts := Options{
+				Workers:        []string{urlCold},
+				LocalObjective: tc.obj,
+				Cache:          cold,
+				Program:        testProgram,
+				Seed:           7,
+			}
+			resCold, stCold, err := Tune(context.Background(), tn, dims, start, 120, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stCold.CacheHits != 0 {
+				t.Fatalf("cold run reported %d cache hits", stCold.CacheHits)
+			}
+			if cold.Len() != SpaceSize(dims, start) {
+				t.Fatalf("store holds %d entries after the cold run, space is %d", cold.Len(), SpaceSize(dims, start))
+			}
+			if err := cold.Close(); err != nil {
+				t.Fatal(err)
+			}
 
-	// Warm run: a fresh process ("restart") over the same directory.
-	warm, err := evalcache.Open(dir, evalcache.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer warm.Close()
-	var warmCalls atomic.Int64
-	urlWarm, _ := startWorker(t, countingHook(obj, &warmCalls), "")
-	opts.Workers = []string{urlWarm}
-	opts.Cache = warm
-	resWarm, stWarm, err := Tune(context.Background(), tn, dims, start, 120, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(resWarm, resCold) {
-		t.Fatalf("warm-cache result diverged from cold:\n got %+v\nwant %+v", resWarm, resCold)
-	}
-	if warmCalls.Load() != 0 {
-		t.Fatalf("warm run re-measured %d configs", warmCalls.Load())
-	}
-	if stWarm.CacheHits != SpaceSize(dims, start) {
-		t.Fatalf("warm run hit %d of %d configs", stWarm.CacheHits, SpaceSize(dims, start))
-	}
-	if stWarm.Shards != 0 {
-		t.Fatalf("warm run still dispatched %d shards", stWarm.Shards)
-	}
-	if stWarm.LocalEvals != 0 {
-		t.Fatalf("warm replay missed the table %d times", stWarm.LocalEvals)
+			// Warm run: a fresh process ("restart") over the same directory.
+			warm, err := evalcache.Open(dir, evalcache.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer warm.Close()
+			var warmCalls atomic.Int64
+			urlWarm, _ := startWorker(t, countingHook(tc.obj, &warmCalls), "")
+			opts.Workers = []string{urlWarm}
+			opts.Cache = warm
+			resWarm, stWarm, err := Tune(context.Background(), tn, dims, start, 120, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(resWarm, resCold) {
+				t.Fatalf("warm-cache result diverged from cold:\n got %+v\nwant %+v", resWarm, resCold)
+			}
+			if !reflect.DeepEqual(stWarm.Quarantined, stCold.Quarantined) {
+				t.Fatalf("warm run quarantined %v, cold %v", stWarm.Quarantined, stCold.Quarantined)
+			}
+			if warmCalls.Load() != 0 {
+				t.Fatalf("warm run re-measured %d configs", warmCalls.Load())
+			}
+			if stWarm.CacheHits != SpaceSize(dims, start) {
+				t.Fatalf("warm run hit %d of %d configs", stWarm.CacheHits, SpaceSize(dims, start))
+			}
+			if stWarm.Shards != 0 {
+				t.Fatalf("warm run still dispatched %d shards", stWarm.Shards)
+			}
+			if stWarm.LocalEvals != 0 {
+				t.Fatalf("warm replay missed the table %d times", stWarm.LocalEvals)
+			}
+
+			// The reference: the plain tuner, no fleet, no store.
+			refStep := &tuning.Step{}
+			ref := tn.TuneCtx(context.Background(), dims, start, refStep.Objective(tc.obj), 120)
+			if !reflect.DeepEqual(resWarm, ref) || !reflect.DeepEqual(stWarm.Quarantined, refStep.Quarantined()) {
+				t.Fatalf("warm fleet run %+v (quarantined %v) != plain tuner %+v (quarantined %v)",
+					resWarm, stWarm.Quarantined, ref, refStep.Quarantined())
+			}
+			if tc.name == "faulting" && len(stWarm.Quarantined) == 0 {
+				t.Fatal("faulting objective: the search met no fault")
+			}
+		})
 	}
 }
 
@@ -406,10 +435,10 @@ func TestAllConfigsFaultedAcrossShards(t *testing.T) {
 	tn := tuning.LinearSearch{}
 	faulty := func(map[string]int) float64 { return math.Inf(1) }
 
-	refBr := jobs.NewBreaker(3, 30*time.Second)
-	ref := tn.TuneCtx(context.Background(), dims, start, jobs.GuardObjective(refBr, nil, faulty), 120)
-	if !errors.Is(ref.Err, tuning.ErrAllConfigsFaulted) {
-		t.Fatalf("reference run: %v", ref.Err)
+	refStep := &tuning.Step{}
+	ref := tn.TuneCtx(context.Background(), dims, start, refStep.Objective(faulty), 120)
+	if !errors.Is(ref.Err, tuning.ErrAllConfigsFaulted) || len(refStep.Quarantined()) == 0 {
+		t.Fatalf("reference run: %v, quarantined %v", ref.Err, refStep.Quarantined())
 	}
 
 	var calls atomic.Int64
@@ -430,8 +459,8 @@ func TestAllConfigsFaultedAcrossShards(t *testing.T) {
 	if res.Evaluations != ref.Evaluations || !math.IsInf(res.BestCost, 1) {
 		t.Fatalf("fleet all-faulted result %+v != reference %+v", res, ref)
 	}
-	if len(st.Quarantined) == 0 {
-		t.Fatalf("replay breaker quarantined nothing: %+v", st)
+	if !reflect.DeepEqual(st.Quarantined, refStep.Quarantined()) {
+		t.Fatalf("fleet quarantined %v, reference %v", st.Quarantined, refStep.Quarantined())
 	}
 }
 
@@ -528,7 +557,7 @@ func TestCoordinatorCrashResume(t *testing.T) {
 	if resumed != space {
 		t.Fatalf("local resume sees %d journaled evals, space is %d", resumed, space)
 	}
-	localRes := tn.TuneCtx(context.Background(), dims, start, ck.Wrap(func(map[string]int) float64 {
+	localRes := tn.TuneCtx(context.Background(), dims, start, (&tuning.Step{Journal: ck}).Objective(func(map[string]int) float64 {
 		t.Fatal("local resume re-measured a configuration")
 		return 0
 	}), 120)
@@ -555,7 +584,9 @@ func TestWorkerIntakeHardening(t *testing.T) {
 	svc := jobs.New(jobs.Options{Workers: 1, QueueDepth: 1, Collector: c})
 	wk := NewWorker(svc, blocking, nil, c)
 	ts := httptest.NewServer(wk.Mux())
+	var unblock sync.Once
 	defer func() {
+		unblock.Do(func() { close(release) }) // a failed check must not hang Close
 		ts.Close()
 		svc.Close()
 		http.DefaultClient.CloseIdleConnections()
@@ -590,7 +621,10 @@ func TestWorkerIntakeHardening(t *testing.T) {
 	}
 
 	// Fill the service: one shard running, one queued; the third sheds
-	// with 503 and the breaker-backed Retry-After.
+	// with 503 and the breaker-backed Retry-After. The second shard is
+	// sent only once the first runs: sent together, both could reach
+	// the one-slot queue before the worker takes the first, and the
+	// second would shed instead.
 	inflight := make(chan struct{}, 2)
 	for i := 0; i < 2; i++ {
 		go func() {
@@ -600,13 +634,13 @@ func TestWorkerIntakeHardening(t *testing.T) {
 			}
 			inflight <- struct{}{}
 		}()
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for c.Snapshot().Counters["jobs.submitted"] < 2 {
-		if time.Now().After(deadline) {
-			t.Fatal("blocking shards never admitted")
+		deadline := time.Now().Add(5 * time.Second)
+		for snap := c.Snapshot(); snap.Counters["jobs.submitted"] < int64(i+1) || snap.Gauges["jobs.running"] < 1; snap = c.Snapshot() {
+			if time.Now().After(deadline) {
+				t.Fatalf("blocking shard %d never admitted", i)
+			}
+			time.Sleep(2 * time.Millisecond)
 		}
-		time.Sleep(2 * time.Millisecond)
 	}
 	resp := post(shard, "application/json")
 	if resp.StatusCode != http.StatusServiceUnavailable {
@@ -615,7 +649,7 @@ func TestWorkerIntakeHardening(t *testing.T) {
 	if ra := resp.Header.Get("Retry-After"); ra == "" || ra == "0" {
 		t.Fatalf("503 Retry-After = %q, want >= 1 second", ra)
 	}
-	close(release)
+	unblock.Do(func() { close(release) })
 	<-inflight
 	<-inflight
 }

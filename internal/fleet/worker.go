@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"net/http"
 	"time"
 
@@ -58,46 +57,24 @@ func NewWorker(svc *jobs.Service, newObjective func(json.RawMessage) (tuning.Obj
 	}
 }
 
-// cacheKeyFor builds the store address for one configuration of a
-// shard.
-func cacheKeyFor(req ShardRequest, a map[string]int) evalcache.Key {
-	return evalcache.Key{Program: req.Program, Config: tuning.AssignKey(a), Seed: req.Seed}
-}
-
-// evaluate runs one shard, honoring cancellation between
-// configurations.
+// evaluate runs one shard through the evaluation step, honoring
+// cancellation between configurations.
 func (wk *Worker) evaluate(ctx context.Context, req ShardRequest) (*ShardResponse, error) {
 	obj, err := wk.newObjective(req.Spec)
 	if err != nil {
 		return nil, fmt.Errorf("bad shard spec: %w", err)
 	}
+	measure := func(a map[string]int) float64 {
+		wk.evals.Inc()
+		return obj(a)
+	}
+	step := tuning.Step{Cache: wk.cache, Program: req.Program, Seed: req.Seed}
 	resp := &ShardResponse{Shard: req.Shard, Evals: make([]tuning.EvalRecord, 0, len(req.Configs))}
 	for _, a := range req.Configs {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		if wk.cache != nil {
-			if e, ok := wk.cache.Get(cacheKeyFor(req, a), ""); ok {
-				resp.Evals = append(resp.Evals, tuning.EvalRecord{
-					Assignment: copyAssign(a), Cost: e.Cost, Faulted: e.Faulted,
-				})
-				continue
-			}
-		}
-		cost := obj(a)
-		rec := tuning.EvalRecord{Assignment: copyAssign(a), Cost: cost}
-		if math.IsInf(cost, 1) || math.IsNaN(cost) || math.IsInf(cost, -1) {
-			rec.Cost, rec.Faulted = 0, true
-		}
-		if wk.cache != nil {
-			k := cacheKeyFor(req, a)
-			wk.cache.Put(evalcache.Entry{
-				Program: k.Program, Config: k.Config, Seed: k.Seed,
-				Cost: rec.Cost, Faulted: rec.Faulted,
-			})
-		}
-		wk.evals.Inc()
-		resp.Evals = append(resp.Evals, rec)
+		resp.Evals = append(resp.Evals, step.Eval(a, measure))
 	}
 	wk.shards.Inc()
 	return resp, nil

@@ -1,13 +1,9 @@
 package jobs
 
 import (
-	"math"
 	"sync"
 	"testing"
 	"time"
-
-	"patty/internal/obs"
-	"patty/internal/tuning"
 )
 
 // fakeClock lets breaker tests step time deterministically.
@@ -35,27 +31,30 @@ func newTestBreaker(threshold int, cooldown time.Duration) (*Breaker, *fakeClock
 	return b, clk
 }
 
+// tripped reports whether key is open: refused, with a cooldown left.
+func tripped(b *Breaker, key string) bool { return b.RetryAfter(key) > 0 }
+
 func TestBreakerTripsAtThreshold(t *testing.T) {
 	b, _ := newTestBreaker(3, time.Minute)
-	const key = "repl.oil=8;"
+	const key = "intake"
 	for i := 0; i < 2; i++ {
 		if !b.Allow(key) {
 			t.Fatalf("fault %d should not trip yet", i)
 		}
 		b.Record(key, true)
 	}
-	if b.State(key) != Closed {
-		t.Fatal("two faults must stay Closed at threshold 3")
+	if tripped(b, key) || !b.Allow(key) {
+		t.Fatal("two faults must stay closed at threshold 3")
 	}
 	b.Record(key, true)
-	if b.State(key) != Open {
-		t.Fatal("third consecutive fault must trip Open")
+	if !tripped(b, key) {
+		t.Fatal("third consecutive fault must trip open")
 	}
 	if b.Allow(key) {
 		t.Fatal("open breaker must short-circuit")
 	}
-	if q := b.Quarantined(); len(q) != 1 || q[0] != key {
-		t.Fatalf("quarantined = %v", q)
+	if !b.Allow("other") || tripped(b, "other") {
+		t.Fatal("unrelated keys must stay closed")
 	}
 }
 
@@ -67,7 +66,7 @@ func TestBreakerSuccessResetsCount(t *testing.T) {
 	b.Record(key, false) // heal
 	b.Record(key, true)
 	b.Record(key, true)
-	if b.State(key) != Closed {
+	if tripped(b, key) || !b.Allow(key) {
 		t.Fatal("non-consecutive faults must not trip")
 	}
 }
@@ -88,6 +87,9 @@ func TestBreakerHalfOpenProbe(t *testing.T) {
 	}
 	// Probe faults: reopen with doubled cooldown.
 	b.Record(key, true)
+	if got := b.RetryAfter(key); got != 2*time.Minute {
+		t.Fatalf("failed probe: cooldown %v, want doubled to 2m", got)
+	}
 	clk.advance(61 * time.Second)
 	if b.Allow(key) {
 		t.Fatal("doubled cooldown: 61s must not be enough after a failed probe")
@@ -96,118 +98,17 @@ func TestBreakerHalfOpenProbe(t *testing.T) {
 	if !b.Allow(key) {
 		t.Fatal("doubled cooldown elapsed: probe expected")
 	}
-	// Probe heals: closed again.
+	// Probe heals: closed again, every call admitted.
 	b.Record(key, false)
-	if b.State(key) != Closed || len(b.Quarantined()) != 0 {
-		t.Fatalf("healed probe must close the breaker: %v %v", b.State(key), b.Quarantined())
-	}
-}
-
-func TestBreakerRestore(t *testing.T) {
-	b, _ := newTestBreaker(3, time.Minute)
-	b.Restore([]string{"a", "b"})
-	if b.Allow("a") || b.Allow("b") {
-		t.Fatal("restored keys must start quarantined")
-	}
-	if !b.Allow("c") {
-		t.Fatal("unrelated keys must stay closed")
-	}
-	if q := b.Quarantined(); len(q) != 2 {
-		t.Fatalf("quarantined = %v", q)
-	}
-}
-
-func TestGuardObjectiveQuarantinesPersistentFault(t *testing.T) {
-	c := obs.New()
-	b, _ := newTestBreaker(3, time.Minute)
-	b.Instrument(c)
-	calls := 0
-	obj := GuardObjective(b, nil, func(a map[string]int) float64 {
-		calls++
-		if a["x"] == 1 {
-			return math.Inf(1) // persistent fault
-		}
-		return float64(10 + a["x"])
-	})
-
-	bad := map[string]int{"x": 1}
-	if got := obj(bad); !math.IsInf(got, 1) {
-		t.Fatalf("faulting config cost = %v", got)
-	}
-	if calls != 3 {
-		t.Fatalf("persistent fault must be retried up to threshold: %d calls", calls)
-	}
-	key := tuning.AssignKey(bad)
-	if b.State(key) != Open {
-		t.Fatal("persistently faulting config must be quarantined")
-	}
-	calls = 0
-	if got := obj(bad); !math.IsInf(got, 1) || calls != 0 {
-		t.Fatalf("quarantined config must short-circuit: cost=%v calls=%d", got, calls)
-	}
-	if got := obj(map[string]int{"x": 2}); got != 12 {
-		t.Fatalf("healthy config cost = %v", got)
-	}
-	snap := c.Snapshot()
-	if snap.Counters["jobs.breaker.trips"] != 1 {
-		t.Fatalf("trips counter = %d", snap.Counters["jobs.breaker.trips"])
-	}
-	if snap.Gauges["jobs.breaker.open"] != 1 {
-		t.Fatalf("open gauge = %d", snap.Gauges["jobs.breaker.open"])
-	}
-}
-
-func TestGuardObjectiveHealsTransientFault(t *testing.T) {
-	b, _ := newTestBreaker(3, time.Minute)
-	attempts := 0
-	obj := GuardObjective(b, nil, func(a map[string]int) float64 {
-		attempts++
-		if attempts == 1 {
-			return math.Inf(1) // transient: first attempt faults
-		}
-		return 42
-	})
-	if got := obj(map[string]int{"x": 1}); got != 42 {
-		t.Fatalf("transient fault must heal on retry, cost = %v", got)
-	}
-	if b.State(tuning.AssignKey(map[string]int{"x": 1})) != Closed {
-		t.Fatal("healed config must stay Closed")
-	}
-}
-
-// TestGuardObjectiveReadsObservedVerdict: the fault signal comes from
-// tuning.ConfigMetrics.Faulted when an Observed is wired in — a
-// finite-but-tainted measurement still counts as a fault.
-func TestGuardObjectiveReadsObservedVerdict(t *testing.T) {
-	c := obs.New()
-	o := &tuning.Observed{Collector: c}
-	b, _ := newTestBreaker(2, time.Minute)
-	panics := 0
-	obj := GuardObjective(b, o, o.Wrap(func(a map[string]int) float64 {
-		if a["x"] == 1 {
-			panics++
-			panic("workload crashed")
-		}
-		return 7
-	}))
-	if got := obj(map[string]int{"x": 1}); !math.IsInf(got, 1) {
-		t.Fatalf("cost = %v", got)
-	}
-	if panics != 2 {
-		t.Fatalf("threshold 2: want 2 attempts, got %d", panics)
-	}
-	if b.State(tuning.AssignKey(map[string]int{"x": 1})) != Open {
-		t.Fatal("panicking config must trip the breaker via ConfigMetrics.Faulted")
-	}
-	if len(o.Metrics) != 2 || !o.Metrics[0].Faulted || !o.Metrics[1].Faulted {
-		t.Fatalf("observed metrics: %+v", o.Metrics)
+	if tripped(b, key) || !b.Allow(key) || !b.Allow(key) {
+		t.Fatal("healed probe must close the breaker")
 	}
 }
 
 // TestBreakerConcurrencySafe hammers one breaker from many goroutines;
 // run under -race this is the data-race property test.
 func TestBreakerConcurrencySafe(t *testing.T) {
-	b := NewBreaker(3, time.Millisecond).Instrument(obs.New())
+	b := NewBreaker(3, time.Millisecond)
 	keys := []string{"a", "b", "c", "d"}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -220,8 +121,8 @@ func TestBreakerConcurrencySafe(t *testing.T) {
 					b.Record(k, (g+i)%3 == 0)
 				}
 				if i%97 == 0 {
-					b.Quarantined()
-					b.State(k)
+					b.RetryAfter(k)
+					ShedRetryAfter(b)
 				}
 			}
 		}(g)

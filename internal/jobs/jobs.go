@@ -3,8 +3,8 @@
 // queue with load shedding, per-tenant token-bucket quotas and a
 // weighted fair-share dispatcher (tenant.go), a fixed worker pool whose
 // crashed workers a supervisor restarts with exponential backoff,
-// per-job deadlines and cancellation, a circuit breaker (breaker.go)
-// that quarantines tuning configurations whose runs repeatedly fault,
+// per-job deadlines and cancellation, a keyed circuit breaker
+// (breaker.go) for intake backoff and byzantine worker quarantine,
 // and an optional durable Journal (internal/store) that makes every
 // acknowledged job survive a crash. `patty serve` exposes this over
 // HTTP; every queue/latency/restart signal is published through

@@ -43,8 +43,7 @@ const (
 )
 
 // SaturationThreshold is the utilization above which a stage counts
-// as saturated: adding capacity elsewhere cannot improve throughput,
-// which is exactly the dominance test the tuner's early-stop uses.
+// as saturated: adding capacity elsewhere cannot improve throughput.
 const SaturationThreshold = 0.95
 
 // StageMetrics summarizes one pipeline stage from a snapshot.
@@ -76,8 +75,7 @@ type WorkerMetrics struct {
 }
 
 // PatternAnalysis is the per-pattern-instance digest of a Snapshot:
-// the inputs to the bottleneck table (internal/report) and the
-// tuner's early-stop test (internal/tuning).
+// the inputs to the bottleneck table (internal/report).
 type PatternAnalysis struct {
 	Kind   string // KindPipeline, KindMasterWorker or KindParallelFor
 	Name   string
@@ -117,8 +115,8 @@ type PatternAnalysis struct {
 	FaultDrained  int64
 }
 
-// Faulted reports whether the run recorded any fault-layer activity —
-// the tuner uses it to mark a configuration's measurement as tainted.
+// Faulted reports whether the run recorded any fault-layer activity;
+// the bottleneck table prints the fault ledger of such runs.
 func (a PatternAnalysis) Faulted() bool {
 	return a.FaultErrors > 0 || a.FaultRetries > 0 || a.FaultTimeouts > 0 || a.FaultDrained > 0
 }

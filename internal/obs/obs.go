@@ -2,11 +2,9 @@
 // pattern runtime: lock-cheap counters, gauges and fixed-bucket
 // latency histograms behind a Collector with a consistent-enough
 // Snapshot API. It closes the feedback loop the paper's process model
-// ends on — the auto-tuning cycle (Fig. 4c) consumes a black-box cost
-// today; with per-stage service times, queue occupancy and worker
-// imbalance it can explain *why* a configuration won and prune
-// configurations whose bottleneck is already saturated (see
-// internal/tuning and internal/report).
+// ends on — the auto-tuning cycle (Fig. 4c) consumes a black-box cost;
+// per-stage service times, queue occupancy and worker imbalance
+// explain *why* a configuration won (see internal/report).
 //
 // Design rules:
 //

@@ -18,9 +18,6 @@ package obs
 //	jobs.worker.restarts       counter  (supervisor restarts after crash)
 //	jobs.latency_ns            histogram (submit -> terminal)
 //	jobs.run_ns                histogram (start -> terminal)
-//	jobs.breaker.trips         counter  (configs newly quarantined)
-//	jobs.breaker.shortcircuits counter  (calls refused while quarantined)
-//	jobs.breaker.open          gauge    (currently quarantined configs)
 //
 // The keys live beside the pattern keys in one Collector; Analyze
 // skips them (no pattern kind prefix) and AnalyzeService digests them.
@@ -46,10 +43,6 @@ type ServiceHealth struct {
 
 	WorkerRestarts int64 `json:"worker_restarts"`
 
-	BreakerTrips         int64 `json:"breaker_trips"`
-	BreakerShortCircuits int64 `json:"breaker_shortcircuits"`
-	BreakerOpen          int64 `json:"breaker_open"`
-
 	Latency HistSnapshot `json:"latency_ns"`
 	RunTime HistSnapshot `json:"run_ns"`
 }
@@ -59,25 +52,22 @@ type ServiceHealth struct {
 // never served jobs).
 func AnalyzeService(s Snapshot) (h ServiceHealth, ok bool) {
 	h = ServiceHealth{
-		QueueDepth:           s.Gauges["jobs.queue.depth"],
-		QueueCap:             s.Gauges["jobs.queue.cap"],
-		Running:              s.Gauges["jobs.running"],
-		Workers:              s.Gauges["jobs.workers"],
-		Submitted:            s.Counters["jobs.submitted"],
-		Shed:                 s.Counters["jobs.shed"],
-		QuotaDenied:          s.Counters["jobs.quota_denied"],
-		Restored:             s.Counters["jobs.restored"],
-		Resubmitted:          s.Counters["jobs.resubmitted"],
-		JournalErrs:          s.Counters["jobs.journal.errors"],
-		Done:                 s.Counters["jobs.done"],
-		Failed:               s.Counters["jobs.failed"],
-		Canceled:             s.Counters["jobs.canceled"],
-		WorkerRestarts:       s.Counters["jobs.worker.restarts"],
-		BreakerTrips:         s.Counters["jobs.breaker.trips"],
-		BreakerShortCircuits: s.Counters["jobs.breaker.shortcircuits"],
-		BreakerOpen:          s.Gauges["jobs.breaker.open"],
-		Latency:              s.Histograms["jobs.latency_ns"],
-		RunTime:              s.Histograms["jobs.run_ns"],
+		QueueDepth:     s.Gauges["jobs.queue.depth"],
+		QueueCap:       s.Gauges["jobs.queue.cap"],
+		Running:        s.Gauges["jobs.running"],
+		Workers:        s.Gauges["jobs.workers"],
+		Submitted:      s.Counters["jobs.submitted"],
+		Shed:           s.Counters["jobs.shed"],
+		QuotaDenied:    s.Counters["jobs.quota_denied"],
+		Restored:       s.Counters["jobs.restored"],
+		Resubmitted:    s.Counters["jobs.resubmitted"],
+		JournalErrs:    s.Counters["jobs.journal.errors"],
+		Done:           s.Counters["jobs.done"],
+		Failed:         s.Counters["jobs.failed"],
+		Canceled:       s.Counters["jobs.canceled"],
+		WorkerRestarts: s.Counters["jobs.worker.restarts"],
+		Latency:        s.Histograms["jobs.latency_ns"],
+		RunTime:        s.Histograms["jobs.run_ns"],
 	}
 	ok = h.QueueCap > 0 || h.Workers > 0 || h.Submitted > 0 || h.Shed > 0
 	return h, ok
@@ -114,8 +104,7 @@ func (h ServiceHealth) Pending() int64 {
 }
 
 // Degraded reports whether the service shows distress: load shedding,
-// crashed workers, quarantined configurations, or failed journal
-// writes (durability at risk).
+// crashed workers, or failed journal writes (durability at risk).
 func (h ServiceHealth) Degraded() bool {
-	return h.Shed > 0 || h.WorkerRestarts > 0 || h.BreakerOpen > 0 || h.JournalErrs > 0
+	return h.Shed > 0 || h.WorkerRestarts > 0 || h.JournalErrs > 0
 }

@@ -14,7 +14,6 @@ func TestAnalyzeServiceDigest(t *testing.T) {
 	c.Counter("jobs.failed").Add(1)
 	c.Counter("jobs.canceled").Add(1)
 	c.Counter("jobs.worker.restarts").Add(1)
-	c.Gauge("jobs.breaker.open").Set(1)
 	c.Histogram("jobs.latency_ns").Record(1000)
 
 	h, ok := AnalyzeService(c.Snapshot())
@@ -31,7 +30,7 @@ func TestAnalyzeServiceDigest(t *testing.T) {
 		t.Fatalf("finished=%d pending=%d", h.Finished(), h.Pending())
 	}
 	if !h.Degraded() {
-		t.Fatal("shed+restarts+breaker: must be Degraded")
+		t.Fatal("shed+restarts: must be Degraded")
 	}
 	if h.Latency.Count != 1 {
 		t.Fatalf("latency snapshot lost: %+v", h.Latency)

@@ -145,35 +145,13 @@ func (pf *ParallelFor) Instrument(c *obs.Collector) *ParallelFor {
 	return pf
 }
 
-// runChunk executes body over [lo, hi) for worker w, recording the
-// chunk latency when instrumented. The uninstrumented path is the
-// plain loop plus one predictable branch per chunk.
-func (pf *ParallelFor) runChunk(w, lo, hi int, body func(int)) {
-	if !pf.m.enabled {
-		for i := lo; i < hi; i++ {
-			body(i)
-		}
-		return
-	}
-	start := time.Now()
-	for i := lo; i < hi; i++ {
-		body(i)
-	}
-	d := int64(time.Since(start))
-	pf.m.chunkNs.Record(d)
-	pf.m.items.Add(int64(hi - lo))
-	if w >= 0 && w < len(pf.m.workerBusy) {
-		pf.m.workerBusy[w].Add(d)
-	}
-}
-
 // faultBlock bounds how many iterations run inside one panic-capture
 // region on the fail-fast fast path, so cancellation is observed with
 // bounded latency without paying a defer/recover per iteration.
 const faultBlock = 1024
 
 // runChunkCtx executes body over [lo, hi) for worker w under the fault
-// policy, recording the same instruments as runChunk. It reports false
+// policy, recording the chunk latency when instrumented. It reports false
 // once the run is canceled, telling the scheduler to stop handing out
 // chunks.
 func (pf *ParallelFor) runChunkCtx(fr *faultRun, w, lo, hi int, body func(int)) bool {

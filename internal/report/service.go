@@ -11,8 +11,7 @@ import (
 // way BottleneckTable renders the pattern layer: one queue/worker
 // summary line, the job ledger, end-to-end latency quantiles, and —
 // only when present — the distress signals (shed load, worker
-// restarts, quarantined configurations). It backs the /statusz page of
-// `patty serve`.
+// restarts). It backs the /statusz page of `patty serve`.
 func ServiceTable(h obs.ServiceHealth) string {
 	var b strings.Builder
 	b.WriteString("=== job service (from internal/obs jobs.* keys) ===\n")
@@ -34,12 +33,8 @@ func ServiceTable(h obs.ServiceHealth) string {
 		if h.WorkerRestarts > 0 {
 			fmt.Fprintf(&b, "   %d worker restart(s) after job panics\n", h.WorkerRestarts)
 		}
-		if h.BreakerOpen > 0 || h.BreakerTrips > 0 {
-			fmt.Fprintf(&b, "   breaker: %d config(s) quarantined now, %d trip(s), %d call(s) short-circuited\n",
-				h.BreakerOpen, h.BreakerTrips, h.BreakerShortCircuits)
-		}
 	} else {
-		b.WriteString("no distress: nothing shed, no worker crashes, breaker closed\n")
+		b.WriteString("no distress: nothing shed, no worker crashes\n")
 	}
 	return b.String()
 }

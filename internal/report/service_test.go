@@ -21,10 +21,10 @@ func TestServiceTableDistress(t *testing.T) {
 	h := obs.ServiceHealth{
 		QueueCap: 4, QueueDepth: 4, Workers: 1,
 		Submitted: 8, Shed: 2, Done: 5, Failed: 2, Canceled: 1,
-		WorkerRestarts: 3, BreakerOpen: 1, BreakerTrips: 1,
+		WorkerRestarts: 3,
 	}
 	out := ServiceTable(h)
-	for _, want := range []string{"distress", "shed 2", "3 worker restart", "quarantined"} {
+	for _, want := range []string{"distress", "shed 2", "3 worker restart"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("table missing %q:\n%s", want, out)
 		}

@@ -58,9 +58,9 @@ func (m SearchMeta) signature() string {
 	return s
 }
 
-// EvalRecord is one completed objective evaluation. Faulted
-// evaluations (cost +Inf under Observed) are stored with the flag
-// instead of the non-JSON-encodable infinity.
+// EvalRecord is one completed objective evaluation. A faulted
+// evaluation (see Measure) is stored with the flag instead of the
+// non-JSON-encodable infinity.
 type EvalRecord struct {
 	Assignment map[string]int `json:"assignment"`
 	Cost       float64        `json:"cost"`
@@ -68,26 +68,23 @@ type EvalRecord struct {
 }
 
 // SearchState is the serialized progress of a tuning search: which
-// configurations were measured, at what cost, and which ones the
-// circuit breaker quarantined.
+// configurations were measured and at what cost. Quarantined lists the
+// faulted ones; it is derived from Evals on every save.
 type SearchState struct {
 	Meta        SearchMeta   `json:"meta"`
 	Evals       []EvalRecord `json:"evals"`
 	Quarantined []string     `json:"quarantined,omitempty"`
 }
 
-// Checkpointer makes a search resumable by journaling every objective
-// evaluation to a snapshot file. Wrap sits between the tuner and the
-// objective: a configuration already in the snapshot returns its
-// recorded cost instantly (no re-measurement), so a restarted
-// deterministic search fast-forwards through the completed prefix and
-// continues exactly where the killed run stopped.
+// Checkpointer is a search's evaluation journal. With a path it makes
+// the search resumable: every record is persisted to a snapshot file,
+// so a restarted deterministic search replays the completed prefix
+// through Step.Lookup (no re-measurement) and continues exactly where
+// the killed run stopped. With an empty path it is an in-memory
+// journal (the fleet coordinator's merge table when checkpointing is
+// off).
 type Checkpointer struct {
 	path string
-	// Quarantine, when non-nil, supplies the currently quarantined
-	// configuration keys (jobs.Breaker.Quarantined) to persist with
-	// every snapshot.
-	Quarantine func() []string
 
 	state   SearchState
 	cache   map[string]EvalRecord
@@ -96,13 +93,17 @@ type Checkpointer struct {
 }
 
 // NewCheckpointer opens or creates the snapshot at path for the given
-// search. resumed reports how many completed evaluations were loaded.
-// A snapshot for a different search fails with ErrCheckpointMismatch;
-// a damaged snapshot fails with checkpoint.ErrCorruptCheckpoint — the
-// caller decides whether to delete and start over.
+// search; an empty path journals in memory only. resumed reports how
+// many completed evaluations were loaded. A snapshot for a different
+// search fails with ErrCheckpointMismatch; a damaged snapshot fails
+// with checkpoint.ErrCorruptCheckpoint — the caller decides whether to
+// delete and start over.
 func NewCheckpointer(path string, meta SearchMeta) (c *Checkpointer, resumed int, err error) {
 	c = &Checkpointer{path: path, cache: make(map[string]EvalRecord)}
 	c.state.Meta = meta
+	if path == "" {
+		return c, 0, nil
+	}
 	err = checkpoint.Load(path, CheckpointKind, &c.state)
 	switch {
 	case errors.Is(err, fs.ErrNotExist):
@@ -123,66 +124,35 @@ func NewCheckpointer(path string, meta SearchMeta) (c *Checkpointer, resumed int
 	return c, c.resumed, nil
 }
 
-// Wrap interposes the journal: cached assignments replay their
-// recorded cost, new assignments run obj and are persisted before the
-// cost is returned to the search.
-func (c *Checkpointer) Wrap(obj Objective) Objective {
-	return func(a map[string]int) float64 {
-		key := assignKey(a)
-		if rec, ok := c.cache[key]; ok {
-			return rec.cost()
-		}
-		cost := obj(a)
-		rec := EvalRecord{Assignment: copyAssign(a), Cost: cost}
-		if math.IsInf(cost, 1) || math.IsNaN(cost) || math.IsInf(cost, -1) {
-			rec.Cost, rec.Faulted = 0, true
-		}
-		c.cache[key] = rec
-		c.state.Evals = append(c.state.Evals, rec)
-		if err := c.save(); err != nil && c.saveErr == nil {
-			c.saveErr = err
-		}
-		return rec.cost()
-	}
-}
-
-// Record journals an externally produced evaluation — the fleet
-// coordinator merges worker-computed costs through it — without
-// invoking an objective. A key already journaled is ignored, so merges
-// are idempotent under duplicate shard completions. The snapshot is
-// persisted by the next Flush; callers batch one Flush per merged
-// shard instead of one write per evaluation.
-func (c *Checkpointer) Record(a map[string]int, cost float64) {
-	key := assignKey(a)
+// Record journals a record and reports whether it was new: a key
+// already journaled is left as it is, so merges are idempotent under
+// duplicate shard completions. The snapshot is persisted by the next
+// Flush; the fleet coordinator batches one Flush per merged shard
+// instead of one write per evaluation.
+func (c *Checkpointer) Record(rec EvalRecord) bool {
+	key := assignKey(rec.Assignment)
 	if _, ok := c.cache[key]; ok {
-		return
+		return false
 	}
-	rec := EvalRecord{Assignment: copyAssign(a), Cost: cost}
-	if math.IsInf(cost, 1) || math.IsNaN(cost) || math.IsInf(cost, -1) {
-		rec.Cost, rec.Faulted = 0, true
-	}
+	rec.Assignment = copyAssign(rec.Assignment)
 	c.cache[key] = rec
 	c.state.Evals = append(c.state.Evals, rec)
+	return true
 }
 
-// Correct overwrites the journaled cost of an assignment in place —
+// Correct overwrites the journaled record of an assignment in place —
 // the fleet coordinator's byzantine re-verification replaces a
 // quarantined worker's lied costs with locally re-measured truth
 // (Record alone cannot: it ignores keys already journaled, which is
 // right for idempotent merges and wrong for repairs). An unknown key
 // falls through to Record semantics. The snapshot is persisted by the
 // next Flush.
-func (c *Checkpointer) Correct(a map[string]int, cost float64) {
-	key := assignKey(a)
-	rec := EvalRecord{Assignment: copyAssign(a), Cost: cost}
-	if math.IsInf(cost, 1) || math.IsNaN(cost) || math.IsInf(cost, -1) {
-		rec.Cost, rec.Faulted = 0, true
-	}
-	if _, ok := c.cache[key]; !ok {
-		c.cache[key] = rec
-		c.state.Evals = append(c.state.Evals, rec)
+func (c *Checkpointer) Correct(rec EvalRecord) {
+	if c.Record(rec) {
 		return
 	}
+	key := assignKey(rec.Assignment)
+	rec.Assignment = copyAssign(rec.Assignment)
 	c.cache[key] = rec
 	for i := range c.state.Evals {
 		if assignKey(c.state.Evals[i].Assignment) == key {
@@ -199,38 +169,29 @@ func (c *Checkpointer) Lookup(key string) (EvalRecord, bool) {
 }
 
 // Records returns a copy of every journaled evaluation, in journal
-// order — the fleet coordinator seeds its merge table from it on
-// resume.
+// order.
 func (c *Checkpointer) Records() []EvalRecord {
 	return append([]EvalRecord(nil), c.state.Evals...)
 }
 
 // EffectiveCost reconstructs the in-memory cost of a record (+Inf
 // when the evaluation faulted).
-func (r EvalRecord) EffectiveCost() float64 { return r.cost() }
-
-// cost reconstructs the in-memory cost of a record.
-func (r EvalRecord) cost() float64 {
+func (r EvalRecord) EffectiveCost() float64 {
 	if r.Faulted {
 		return math.Inf(1)
 	}
 	return r.Cost
 }
 
-// save snapshots the current state (including the live quarantine set).
-func (c *Checkpointer) save() error {
-	if c.Quarantine != nil {
-		c.state.Quarantined = c.Quarantine()
-	}
-	return checkpoint.Save(c.path, CheckpointKind, &c.state)
-}
-
-// Flush persists the final state once more (picking up quarantine
-// changes after the last evaluation) and reports the first error any
-// save hit; a search whose journal could not be written must not
-// advertise itself as resumable.
+// Flush persists the journal (a no-op in memory) and reports the first
+// error any save hit; a search whose journal could not be written must
+// not advertise itself as resumable.
 func (c *Checkpointer) Flush() error {
-	if err := c.save(); err != nil && c.saveErr == nil {
+	if c.path == "" {
+		return nil
+	}
+	c.state.Quarantined = c.Quarantined()
+	if err := checkpoint.Save(c.path, CheckpointKind, &c.state); err != nil && c.saveErr == nil {
 		c.saveErr = err
 	}
 	return c.saveErr
@@ -243,8 +204,15 @@ func (c *Checkpointer) Explored() int { return len(c.cache) }
 // Resumed is the number of evaluations replayed from the snapshot.
 func (c *Checkpointer) Resumed() int { return c.resumed }
 
-// Quarantined returns the configuration keys the snapshot recorded as
-// circuit-breaker quarantined, for Breaker.Restore on resume.
+// Quarantined returns the sorted keys of the journaled faulted
+// configurations.
 func (c *Checkpointer) Quarantined() []string {
-	return append([]string(nil), c.state.Quarantined...)
+	var out []string
+	for _, rec := range c.state.Evals {
+		if rec.Faulted {
+			out = append(out, assignKey(rec.Assignment))
+		}
+	}
+	sort.Strings(out)
+	return out
 }

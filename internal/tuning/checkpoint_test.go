@@ -45,29 +45,6 @@ func TestTuneCtxCancelReturnsBestSoFar(t *testing.T) {
 	}
 }
 
-func TestAllConfigsFaultedTyped(t *testing.T) {
-	faulting := func(map[string]int) float64 { return math.Inf(1) }
-	res := LinearSearch{}.Tune(bowlDims(), bowlStart(), faulting, 40)
-	if !errors.Is(res.Err, ErrAllConfigsFaulted) {
-		t.Fatalf("all-faulted search: Err = %v, want ErrAllConfigsFaulted", res.Err)
-	}
-	// A healthy ridge clears the condition (reachable one dimension at
-	// a time, which is how LinearSearch walks).
-	oneGood := func(a map[string]int) float64 {
-		if a["x"] == 7 {
-			return float64(1 + (a["y"]-3)*(a["y"]-3))
-		}
-		return math.Inf(1)
-	}
-	res = LinearSearch{}.Tune(bowlDims(), bowlStart(), oneGood, 200)
-	if res.Err != nil {
-		t.Fatalf("search with a healthy config must not error: %v", res.Err)
-	}
-	if res.Best["x"] != 7 || res.Best["y"] != 3 {
-		t.Fatalf("best %v, want the healthy config", res.Best)
-	}
-}
-
 // TestCheckpointResumeConvergesIdentically is the package-level half
 // of the kill-and-restart contract: interrupt a checkpointed search
 // mid-run, resume it from the snapshot, and require the identical best
@@ -96,7 +73,7 @@ func TestCheckpointResumeConvergesIdentically(t *testing.T) {
 				}
 				return bowl(a)
 			}
-			half := tn.TuneCtx(ctx, meta.Dims, meta.Start, ck1.Wrap(counting), meta.Budget)
+			half := tn.TuneCtx(ctx, meta.Dims, meta.Start, (&Step{Journal: ck1}).Objective(counting), meta.Budget)
 			if !half.Interrupted {
 				t.Fatal("first leg should have been interrupted")
 			}
@@ -113,7 +90,7 @@ func TestCheckpointResumeConvergesIdentically(t *testing.T) {
 				t.Fatal("resume loaded no completed evaluations")
 			}
 			rerun := 0
-			res := tn.Tune(meta.Dims, meta.Start, ck2.Wrap(func(a map[string]int) float64 {
+			res := tn.Tune(meta.Dims, meta.Start, (&Step{Journal: ck2}).Objective(func(a map[string]int) float64 {
 				rerun++
 				return bowl(a)
 			}), meta.Budget)
@@ -141,7 +118,7 @@ func TestCheckpointMismatchRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ck.Wrap(bowl)(bowlStart())
+	(&Step{Journal: ck}).Eval(bowlStart(), bowl)
 	other := meta
 	other.Budget = 99
 	if _, _, err := NewCheckpointer(path, other); !errors.Is(err, ErrCheckpointMismatch) {
@@ -149,6 +126,8 @@ func TestCheckpointMismatchRejected(t *testing.T) {
 	}
 }
 
+// TestCheckpointQuarantinePersists: a faulted record survives reopen,
+// is reported as quarantined, and is never measured again.
 func TestCheckpointQuarantinePersists(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "search.ckpt")
 	meta := SearchMeta{Algo: "linear", Budget: 50, Dims: bowlDims(), Start: bowlStart()}
@@ -156,8 +135,16 @@ func TestCheckpointQuarantinePersists(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ck.Quarantine = func() []string { return []string{"x=1;y=2;"} }
-	ck.Wrap(bowl)(bowlStart())
+	bad := map[string]int{"x": 1, "y": 2}
+	faulting := func(a map[string]int) float64 {
+		if AssignKey(a) == AssignKey(bad) {
+			return math.Inf(1)
+		}
+		return bowl(a)
+	}
+	step := &Step{Journal: ck}
+	step.Eval(bowlStart(), faulting)
+	step.Eval(bad, faulting)
 	if err := ck.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -168,6 +155,13 @@ func TestCheckpointQuarantinePersists(t *testing.T) {
 	if q := ck2.Quarantined(); len(q) != 1 || q[0] != "x=1;y=2;" {
 		t.Fatalf("quarantine set lost: %v", q)
 	}
+	rec := (&Step{Journal: ck2}).Eval(bad, func(map[string]int) float64 {
+		t.Fatal("a journaled fault was measured again")
+		return 0
+	})
+	if !rec.Faulted || !math.IsInf(rec.EffectiveCost(), 1) {
+		t.Fatalf("journaled fault read back as %+v", rec)
+	}
 }
 
 func TestCheckpointCorruptSurfacesTyped(t *testing.T) {
@@ -177,7 +171,7 @@ func TestCheckpointCorruptSurfacesTyped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ck.Wrap(bowl)(bowlStart())
+	(&Step{Journal: ck}).Eval(bowlStart(), bowl)
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -205,27 +199,29 @@ func TestCheckpointCorrectOverwrites(t *testing.T) {
 	}
 	a := map[string]int{"x": 1, "y": 2}
 	b := map[string]int{"x": 3, "y": 4}
-	ck.Record(a, 100) // the lie
-	ck.Record(b, 50)
+	ck.Record(EvalRecord{Assignment: a, Cost: 100}) // the lie
+	ck.Record(EvalRecord{Assignment: b, Cost: 50})
 
 	// Record is merge-idempotent: it must NOT repair the lie.
-	ck.Record(a, 42)
+	if ck.Record(EvalRecord{Assignment: a, Cost: 42}) {
+		t.Fatal("Record reported a journaled key as new")
+	}
 	if rec, _ := ck.Lookup(AssignKey(a)); rec.Cost != 100 {
 		t.Fatalf("Record overwrote a journaled key: %+v", rec)
 	}
 
-	ck.Correct(a, 42) // the repair
+	ck.Correct(EvalRecord{Assignment: a, Cost: 42}) // the repair
 	if rec, _ := ck.Lookup(AssignKey(a)); rec.Cost != 42 {
 		t.Fatalf("Correct did not overwrite: %+v", rec)
 	}
-	// Correcting to a faulted cost stores the flag, not the Inf.
-	ck.Correct(b, math.Inf(1))
+	// Correcting to a faulted record stores the flag, not the Inf.
+	ck.Correct(Measure(func(map[string]int) float64 { return math.Inf(1) }, b))
 	if rec, _ := ck.Lookup(AssignKey(b)); !rec.Faulted || rec.Cost != 0 {
 		t.Fatalf("Correct to +Inf not stored as faulted: %+v", rec)
 	}
 	// Unknown key: Correct degrades to Record.
 	c := map[string]int{"x": 5, "y": 6}
-	ck.Correct(c, 7)
+	ck.Correct(EvalRecord{Assignment: c, Cost: 7})
 	if rec, ok := ck.Lookup(AssignKey(c)); !ok || rec.Cost != 7 {
 		t.Fatalf("Correct on unknown key: %+v ok=%v", rec, ok)
 	}

@@ -25,7 +25,7 @@ import (
 )
 
 // ErrAllConfigsFaulted reports a search in which every evaluated
-// configuration faulted (Observed gives faulted runs +Inf cost): there
+// configuration faulted (Measure gives faulted runs +Inf cost): there
 // is no meaningful best, and Result.Best is only the start assignment
 // echoed back. Callers must treat the run as failed rather than apply
 // that configuration.
@@ -134,10 +134,6 @@ type Result struct {
 	// Trace records (evaluation index, cost) pairs of improving steps
 	// for the Fig. 4c runtime-tuning visualization.
 	Trace []TracePoint
-	// Pruned counts candidate configurations skipped without
-	// evaluation because runtime metrics proved them dominated
-	// (LinearSearch with an Observer; see Observed.DominatesAbove).
-	Pruned int
 	// Interrupted is set when the search stopped because its context
 	// was canceled (SIGINT, job cancellation, deadline): Best is the
 	// best-so-far configuration, not the converged one.
@@ -230,7 +226,7 @@ func copyAssign(a map[string]int) map[string]int {
 
 // AssignKey renders an assignment in canonical form — sorted
 // "key=value;" pairs — the identity under which configurations are
-// cached, checkpointed and circuit-breaker quarantined.
+// cached, checkpointed and quarantined.
 func AssignKey(a map[string]int) string { return assignKey(a) }
 
 func assignKey(a map[string]int) string {
@@ -260,16 +256,7 @@ func clampDim(d Dim, v int) int {
 // time by sweeping its whole range while holding the others fixed,
 // then move to the next dimension, cycling until the budget is spent
 // or a full cycle brings no improvement.
-type LinearSearch struct {
-	// Observer, when non-nil, supplies runtime metrics for each
-	// evaluated configuration (wire the workload through
-	// Observer.Wrap). The search then cuts each ascending dimension
-	// sweep as soon as the measured analysis proves the remaining
-	// larger values dominated — the workload's bottleneck is already
-	// saturated somewhere this dimension cannot relieve. Skipped
-	// candidates are counted in Result.Pruned.
-	Observer *Observed
-}
+type LinearSearch struct{}
 
 // Name implements Tuner.
 func (LinearSearch) Name() string { return "linear" }
@@ -280,7 +267,7 @@ func (ls LinearSearch) Tune(dims []Dim, start map[string]int, obj Objective, bud
 }
 
 // TuneCtx implements Tuner.
-func (ls LinearSearch) TuneCtx(ctx context.Context, dims []Dim, start map[string]int, obj Objective, budget int) Result {
+func (LinearSearch) TuneCtx(ctx context.Context, dims []Dim, start map[string]int, obj Objective, budget int) Result {
 	e := newEvaluator(ctx, obj, budget, start)
 	cur := copyAssign(start)
 	e.eval(cur)
@@ -296,10 +283,6 @@ func (ls LinearSearch) TuneCtx(ctx context.Context, dims []Dim, start map[string
 					bestC, bestV = c, v
 				}
 				if e.exhausted() {
-					break
-				}
-				if ls.Observer != nil && v < d.Max && ls.Observer.DominatesAbove(d.Key, cand) {
-					e.res.Pruned += (d.Max - v) / d.step()
 					break
 				}
 			}
