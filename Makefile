@@ -110,12 +110,14 @@ netchaos:
 # vm is the bytecode-engine gate: the VM must stay bit-identical to
 # the tree-walking oracle — engine equivalence and golden-disassembly
 # suites under -race, the VM-vs-tree fuzz corpus replay, and a CLI
-# fuzzing smoke with every machine pinned to the VM. The >= 10x
-# corpus-throughput gate runs without -race, which would measure the
-# race detector instead.
+# fuzzing smoke with every machine pinned to the VM. The one-pass
+# dependence profiler rides along: its semantics suite and the corpus
+# check that model enrichment equals the per-loop traced reference.
+# The >= 10x corpus-throughput gate runs without -race, which would
+# measure the race detector instead.
 vm:
-	$(GO) test -race -count=1 -run 'Engine|CorpusEngineEquivalence|GoldenDisassembly|RegressionSeeds' \
-		./internal/interp/ ./internal/difftest/
+	$(GO) test -race -count=1 -run 'Engine|CorpusEngineEquivalence|GoldenDisassembly|RegressionSeeds|OnePass|EnrichDynamicMatchesPerTargetReference' \
+		./internal/interp/ ./internal/difftest/ ./internal/profile/ ./internal/corpus/
 	$(GO) test -count=1 -run VMSpeedupOverTree ./internal/interp/
 	$(GO) test ./internal/difftest -run '^$$' -fuzz FuzzVMvsTreeWalker -fuzztime 30s
 	$(GO) run ./cmd/patty fuzz -n 50 -engine vm

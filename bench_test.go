@@ -273,30 +273,26 @@ func BenchmarkAnalysisOverhead(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	fn := parsed.Func("Process")
-	loop := fn.Loops()[0]
-	var plain, traced time.Duration
+	var plain, enriched time.Duration
 	for i := 0; i < b.N; i++ {
-		m1 := interp.NewMachine(parsed)
+		im := interp.NewMachine(parsed)
 		start := time.Now()
-		if _, _, err := m1.Run(prog.Entry, prog.Args(m1), interp.Options{}); err != nil {
+		if _, _, err := im.Run(prog.Entry, prog.Args(im), interp.Options{}); err != nil {
 			b.Fatal(err)
 		}
 		plain += time.Since(start)
 
-		m2 := interp.NewMachine(parsed)
+		m := model.Build(parsed)
 		start = time.Now()
-		if _, _, err := m2.Run(prog.Entry, prog.Args(m2), interp.Options{
-			TargetLoop: interp.Ref{Fn: "Process", Stmt: fn.StmtID(loop)},
-		}); err != nil {
+		if err := m.EnrichDynamic(prog.Workload()); err != nil {
 			b.Fatal(err)
 		}
-		traced += time.Since(start)
+		enriched += time.Since(start)
 	}
-	overhead := float64(traced) / float64(plain)
+	overhead := float64(enriched) / float64(plain)
 	printHeader("E7b / dynamic-analysis overhead (paper §5 wants it quantified)",
-		fmt.Sprintf("untraced interpretation: %.2f ms/run\nwith dependence tracing: %.2f ms/run\noverhead factor: %.2fx",
-			ms(plain)/float64(b.N), ms(traced)/float64(b.N), overhead))
+		fmt.Sprintf("untraced interpretation: %.2f ms/run\ndependence profiling of every loop (model.EnrichDynamic): %.2f ms/run\noverhead factor: %.2fx",
+			ms(plain)/float64(b.N), ms(enriched)/float64(b.N), overhead))
 	b.ReportMetric(overhead, "trace-overhead-x")
 }
 

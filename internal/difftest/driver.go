@@ -270,10 +270,12 @@ func Check(p *Prog, opt Options) *Result {
 	}
 
 	// 1b. Engine differential: the bytecode VM must reproduce the
-	// tree-walking oracle bit-for-bit — values, virtual time, profile
-	// and the load/store trace for every loop target (engineleg.go).
+	// tree-walking oracle bit-for-bit — values, virtual time, profile,
+	// one-pass loop dependences and the load/store trace for every loop
+	// target — and the one-pass profile of every executed loop must
+	// equal the offline pairing of its trace (engineleg.go).
 	if msg := engineDiff(oracleProg, int64(p.N)); msg != "" {
-		return div("engine", "vm disagrees with tree-walker: %s", msg)
+		return div("engine", "engine leg disagrees with its oracle: %s", msg)
 	}
 
 	// 2. The native reference executor must agree with the

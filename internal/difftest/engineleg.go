@@ -2,52 +2,66 @@ package difftest
 
 import (
 	"fmt"
+	"reflect"
 
 	"patty/internal/interp"
+	"patty/internal/profile"
 	"patty/internal/source"
 )
 
 // The engine leg: every generated program is executed on both the
 // tree-walking interpreter and the bytecode VM, and the two runs must
 // agree bit-for-bit — return values, error text, total virtual time,
-// per-statement profile, target-loop iteration count and the full
-// load/store trace for every loop target. The tree-walker is the
-// oracle; any disagreement is an "engine" divergence and shrinks like
+// per-statement profile, per-loop iteration counts and carried
+// dependences, and the full load/store trace for every loop target.
+// The untargeted runs pair dependences in one pass
+// (Options.Dependences); every executed loop's one-pass profile must
+// also equal profile.AnalyzeLoop over the tree's trace with that loop
+// as the target. The tree-walker and the offline pairing are the
+// oracles; any disagreement is an "engine" divergence and shrinks like
 // any other difftest finding.
 
 // engineRun executes Kernel on one engine and captures everything the
 // comparison needs. A fresh Machine per run keeps the traced address
 // space identical across engines.
-func engineRun(prog *source.Program, n int64, eng interp.Engine, target interp.Ref) ([]interp.Value, *interp.Profile, string) {
+func engineRun(prog *source.Program, n int64, eng interp.Engine, opts interp.Options) ([]interp.Value, *interp.Profile, string) {
 	m := interp.NewMachine(prog)
-	vals, prof, err := m.Run("Kernel", []interp.Value{n}, interp.Options{Engine: eng, TargetLoop: target})
+	opts.Engine = eng
+	vals, prof, err := m.Run("Kernel", []interp.Value{n}, opts)
 	if err != nil {
 		return vals, prof, err.Error()
 	}
 	return vals, prof, ""
 }
 
-// engineDiff runs the program on both engines — once untargeted, then
-// once per loop of every function as the tracing target — and returns
-// a description of the first disagreement, or "".
+// engineDiff runs the program on both engines — once pairing the
+// dependences of every loop, then once per loop of every function as
+// the tracing target — and returns a description of the first
+// disagreement, or "".
 func engineDiff(prog *source.Program, n int64) string {
-	targets := []interp.Ref{{}}
-	for _, fn := range prog.Functions() {
-		for _, l := range fn.Loops() {
-			if id := fn.StmtID(l); id >= 0 {
-				targets = append(targets, interp.Ref{Fn: fn.Name, Stmt: id})
-			}
-		}
+	opts := interp.Options{Dependences: true}
+	tv, onePass, te := engineRun(prog, n, interp.EngineTree, opts)
+	vv, vp, ve := engineRun(prog, n, interp.EngineVM, opts)
+	if msg := compareEngineRuns(tv, onePass, te, vv, vp, ve); msg != "" {
+		return "one-pass: " + msg
 	}
-	for _, target := range targets {
-		label := "untargeted"
-		if (target != interp.Ref{}) {
-			label = fmt.Sprintf("target %s#%d", target.Fn, target.Stmt)
-		}
-		tv, tp, te := engineRun(prog, n, interp.EngineTree, target)
-		vv, vp, ve := engineRun(prog, n, interp.EngineVM, target)
-		if msg := compareEngineRuns(tv, tp, te, vv, vp, ve); msg != "" {
-			return label + ": " + msg
+	for _, fn := range prog.Functions() {
+		for _, loop := range fn.Loops() {
+			target := interp.Ref{Fn: fn.Name, Stmt: fn.StmtID(loop)}
+			label := fmt.Sprintf("target %s#%d", target.Fn, target.Stmt)
+			opts := interp.Options{TargetLoop: target}
+			tv, tp, te := engineRun(prog, n, interp.EngineTree, opts)
+			vv, vp, ve := engineRun(prog, n, interp.EngineVM, opts)
+			if msg := compareEngineRuns(tv, tp, te, vv, vp, ve); msg != "" {
+				return label + ": " + msg
+			}
+			if te != "" || onePass.Count[target] == 0 {
+				continue
+			}
+			want := profile.AnalyzeLoop(tp, fn, loop)
+			if got := profile.Loop(onePass, fn, loop); !reflect.DeepEqual(got, want) {
+				return fmt.Sprintf("%s: one-pass profile %+v, traced reference %+v", label, *got, *want)
+			}
 		}
 	}
 	return ""
@@ -75,8 +89,8 @@ func compareEngineRuns(tv []interp.Value, tp *interp.Profile, te string,
 	if tp.Total != vp.Total {
 		return fmt.Sprintf("virtual time: tree=%d vm=%d", tp.Total, vp.Total)
 	}
-	if tp.TargetIters != vp.TargetIters {
-		return fmt.Sprintf("target iterations: tree=%d vm=%d", tp.TargetIters, vp.TargetIters)
+	if !reflect.DeepEqual(tp.Loops, vp.Loops) {
+		return fmt.Sprintf("loop dependences: tree=%+v vm=%+v", tp.Loops, vp.Loops)
 	}
 	if len(tp.Mem) != len(vp.Mem) {
 		return fmt.Sprintf("memory trace length: tree=%d vm=%d", len(tp.Mem), len(vp.Mem))

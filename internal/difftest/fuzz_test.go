@@ -47,8 +47,9 @@ func FuzzDifferentialPipeline(f *testing.F) {
 
 // FuzzVMvsTreeWalker focuses exclusively on the engine differential:
 // generate a program, run it on the tree-walking interpreter and the
-// bytecode VM for every loop target, and crash on any disagreement in
-// values, error text, virtual time, profile or memory trace. Much
+// bytecode VM once pairing every loop's dependences and once per loop
+// target, and crash on any disagreement in values, error text, virtual
+// time, profile, memory trace or one-pass loop profile. Much
 // faster per input than the full pipeline targets, so it covers far
 // more of the generator space per fuzzing minute.
 // Run with: go test ./internal/difftest -fuzz FuzzVMvsTreeWalker

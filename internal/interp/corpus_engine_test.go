@@ -2,18 +2,23 @@ package interp_test
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"patty/internal/corpus"
 	"patty/internal/interp"
+	"patty/internal/profile"
 )
 
 // TestCorpusEngineEquivalence runs every corpus program on both the
-// tree-walking interpreter and the bytecode VM — once untargeted, then
-// once per loop as the tracing target — and requires bit-identical
-// observables: return values, error text, total virtual time, target
-// iteration count, the full load/store trace, and every profile map
-// entry. The corpus programs are the realistic complement to the
+// tree-walking interpreter and the bytecode VM — once pairing the
+// dependences of every loop in one pass, then once per loop as the
+// tracing target — and requires bit-identical observables: return
+// values, error text, total virtual time, per-loop iterations and
+// carried dependences, the full load/store trace, and every profile
+// map entry. Every executed loop's one-pass profile must also equal
+// profile.AnalyzeLoop over the tree's trace with that loop as the
+// target. The corpus programs are the realistic complement to the
 // generated programs covered by internal/difftest.
 func TestCorpusEngineEquivalence(t *testing.T) {
 	for _, p := range corpus.All() {
@@ -21,9 +26,10 @@ func TestCorpusEngineEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", p.Name, err)
 		}
-		run := func(eng interp.Engine, target interp.Ref) ([]string, string, *interp.Profile) {
+		run := func(eng interp.Engine, opts interp.Options) ([]string, string, *interp.Profile) {
 			m := interp.NewMachine(prog)
-			vals, prof, err := m.Run(p.Entry, p.Args(m), interp.Options{Engine: eng, TargetLoop: target})
+			opts.Engine = eng
+			vals, prof, err := m.Run(p.Entry, p.Args(m), opts)
 			var es string
 			if err != nil {
 				es = err.Error()
@@ -34,18 +40,9 @@ func TestCorpusEngineEquivalence(t *testing.T) {
 			}
 			return out, es, prof
 		}
-		targets := []interp.Ref{{}}
-		for _, fn := range prog.Functions() {
-			for _, l := range fn.Loops() {
-				if id := fn.StmtID(l); id >= 0 {
-					targets = append(targets, interp.Ref{Fn: fn.Name, Stmt: id})
-				}
-			}
-		}
-		for _, target := range targets {
-			tv, te, tp := run(interp.EngineTree, target)
-			vv, ve, vp := run(interp.EngineVM, target)
-			label := fmt.Sprintf("%s target=%v", p.Name, target)
+		check := func(label string, opts interp.Options) *interp.Profile {
+			tv, te, tp := run(interp.EngineTree, opts)
+			vv, ve, vp := run(interp.EngineVM, opts)
 			if te != ve {
 				t.Fatalf("%s: error mismatch tree=%q vm=%q", label, te, ve)
 			}
@@ -53,10 +50,13 @@ func TestCorpusEngineEquivalence(t *testing.T) {
 				t.Fatalf("%s: value mismatch\ntree: %v\nvm:   %v", label, tv, vv)
 			}
 			if te != "" {
-				continue
+				t.Fatalf("%s: %s", label, te)
 			}
-			if tp.Total != vp.Total || tp.TargetIters != vp.TargetIters {
-				t.Fatalf("%s: total/iters mismatch tree=%d/%d vm=%d/%d", label, tp.Total, tp.TargetIters, vp.Total, vp.TargetIters)
+			if tp.Total != vp.Total {
+				t.Fatalf("%s: total mismatch tree=%d vm=%d", label, tp.Total, vp.Total)
+			}
+			if !reflect.DeepEqual(tp.Loops, vp.Loops) {
+				t.Fatalf("%s: loop dependences differ\ntree: %+v\nvm:   %+v", label, tp.Loops, vp.Loops)
 			}
 			if len(tp.Mem) != len(vp.Mem) {
 				t.Fatalf("%s: mem len tree=%d vm=%d", label, len(tp.Mem), len(vp.Mem))
@@ -84,6 +84,27 @@ func TestCorpusEngineEquivalence(t *testing.T) {
 					t.Fatalf("%s: count[%v] tree=%d vm=%d", label, r, v, vp.Count[r])
 				}
 			}
+			return tp
+		}
+		onePass := check(p.Name+" one-pass", interp.Options{Dependences: true})
+		executed := 0
+		for _, fn := range prog.Functions() {
+			for _, loop := range fn.Loops() {
+				target := interp.Ref{Fn: fn.Name, Stmt: fn.StmtID(loop)}
+				label := fmt.Sprintf("%s target=%v", p.Name, target)
+				traced := check(label, interp.Options{TargetLoop: target})
+				if onePass.Count[target] == 0 {
+					continue
+				}
+				executed++
+				want := profile.AnalyzeLoop(traced, fn, loop)
+				if got := profile.Loop(onePass, fn, loop); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: one-pass profile differs from the traced reference\none-pass: %+v\ntraced:   %+v", label, *got, *want)
+				}
+			}
+		}
+		if executed != len(onePass.Loops) {
+			t.Fatalf("%s: one-pass run profiled %d loops, %d executed", p.Name, len(onePass.Loops), executed)
 		}
 	}
 }

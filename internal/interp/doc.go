@@ -1,9 +1,11 @@
 // Package interp executes the analyzed sequential program on sample
 // inputs, producing the *runtime information* of the paper's semantic
 // model: per-statement execution counts and (virtual) running times,
-// plus a full memory-access trace for a selected loop from which the
-// dynamic dependence profiler (package profile) derives observed
-// loop-carried dependencies.
+// plus the observed loop-carried dependencies of every executed loop,
+// paired against shadow memory during a single run (Options.Dependences,
+// loops.go) and summarized per loop by package profile. A full
+// memory-access trace of one selected loop (Options.TargetLoop) remains
+// as the reference that pairing is tested against.
 //
 // The paper instruments .NET executions; a Go reproduction cannot
 // instrument arbitrary compiled Go, so this tree-walking interpreter is

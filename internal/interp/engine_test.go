@@ -70,8 +70,8 @@ func F(a []int, n int) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if prof.TargetIters != 4 {
-				t.Fatalf("TargetIters = %d, want 4", prof.TargetIters)
+			if it := prof.Loops[Ref{Fn: "F", Stmt: fn.StmtID(loop)}].Iters; it != 4 {
+				t.Fatalf("target Iters = %d, want 4", it)
 			}
 			if len(prof.Mem) == 0 {
 				t.Fatal("no memory events")

@@ -143,38 +143,17 @@ func (m *Machine) execStmt(s ast.Stmt, env *env, fn *source.Function) control {
 	return ctrlNothing
 }
 
-// enterTarget / leaveTarget bracket execution of the traced loop.
-func (m *Machine) enterTarget(ref Ref) bool {
-	if !m.hasTarget || ref != m.target {
-		return false
-	}
-	m.inTarget++
-	if m.inTarget == 1 {
-		m.iter = 0
-	}
-	return true
-}
-
-func (m *Machine) leaveTarget(entered bool) {
-	if entered {
-		if m.inTarget == 1 {
-			m.prof.TargetIters = m.iter
-		}
-		m.inTarget--
-	}
-}
-
-// execTopStmt runs a direct child of the target loop body, tagging
-// memory events with the top-level statement id.
-func (m *Machine) execBodyStmts(body *ast.BlockStmt, scope *env, fn *source.Function, isTarget bool) control {
+// execBodyStmts runs the direct children of a loop body, tagging the
+// tracked loop's accesses with the top-level statement id.
+func (m *Machine) execBodyStmts(body *ast.BlockStmt, scope *env, fn *source.Function, t *loopTrack) control {
 	inner := newEnv(scope)
 	for _, s := range body.List {
-		if isTarget && m.inTarget == 1 {
-			m.topStmt = fn.StmtID(s)
+		if t.outermost() {
+			t.top = fn.StmtID(s)
 		}
 		ctrl := m.execStmt(s, inner, fn)
-		if isTarget && m.inTarget == 1 {
-			m.topStmt = -1
+		if t.outermost() {
+			t.top = -1
 		}
 		if ctrl.kind != ctrlNone {
 			return ctrl
@@ -185,8 +164,8 @@ func (m *Machine) execBodyStmts(body *ast.BlockStmt, scope *env, fn *source.Func
 
 func (m *Machine) execFor(st *ast.ForStmt, parent *env, fn *source.Function, ref Ref) control {
 	scope := newEnv(parent)
-	entered := m.enterTarget(ref)
-	defer m.leaveTarget(entered)
+	t := m.enterLoop(ref)
+	defer m.leaveLoop(t)
 	if st.Init != nil {
 		if ctrl := m.execStmt(st.Init, scope, fn); ctrl.kind != ctrlNone {
 			return ctrl
@@ -202,15 +181,15 @@ func (m *Machine) execFor(st *ast.ForStmt, parent *env, fn *source.Function, ref
 				break
 			}
 		}
-		ctrl := m.execBodyStmts(st.Body, scope, fn, entered)
+		ctrl := m.execBodyStmts(st.Body, scope, fn, t)
 		if ctrl.kind == ctrlBreak {
 			break
 		}
 		if ctrl.kind == ctrlReturn {
 			return ctrl
 		}
-		if entered && m.inTarget == 1 {
-			m.iter++
+		if t.outermost() {
+			t.iter++
 		}
 		if st.Post != nil {
 			if c := m.execStmt(st.Post, scope, fn); c.kind != ctrlNone {
@@ -224,8 +203,8 @@ func (m *Machine) execFor(st *ast.ForStmt, parent *env, fn *source.Function, ref
 
 func (m *Machine) execRange(st *ast.RangeStmt, parent *env, fn *source.Function, ref Ref) control {
 	scope := newEnv(parent)
-	entered := m.enterTarget(ref)
-	defer m.leaveTarget(entered)
+	t := m.enterLoop(ref)
+	defer m.leaveLoop(t)
 
 	x := m.eval(st.X, scope, fn)
 
@@ -256,15 +235,15 @@ func (m *Machine) execRange(st *ast.RangeStmt, parent *env, fn *source.Function,
 	}
 
 	runBody := func(iterScope *env) control {
-		return m.execBodyStmts(st.Body, iterScope, fn, entered)
+		return m.execBodyStmts(st.Body, iterScope, fn, t)
 	}
 
 	iterate := func(k, v Value, hasV bool) (stop bool, ret control) {
 		iterScope := newEnv(scope)
 		assignKV(iterScope, k, v, hasV)
 		ctrl := runBody(iterScope)
-		if entered && m.inTarget == 1 {
-			m.iter++
+		if t.outermost() {
+			t.iter++
 		}
 		m.tick(1)
 		switch ctrl.kind {

@@ -50,8 +50,9 @@ type Profile struct {
 	Count map[Ref]uint64
 	// Mem is the memory trace of the target loop, if one was set.
 	Mem []MemEvent
-	// TargetIters is the number of completed target-loop iterations.
-	TargetIters int
+	// Loops holds, per executed loop, what a Dependences run observed;
+	// a TargetLoop run holds only the target's iteration count here.
+	Loops map[Ref]LoopDeps
 }
 
 // RuntimeError is an execution failure (unsupported construct, type
@@ -80,6 +81,10 @@ type Options struct {
 	// TargetLoop selects the loop whose memory accesses are traced
 	// (zero value: no tracing).
 	TargetLoop Ref
+	// Dependences pairs the loads and stores of every executed loop
+	// into carried dependences during the run (Profile.Loops), without
+	// a memory trace. It overrides TargetLoop.
+	Dependences bool
 	// MaxTicks bounds execution (0: default 200 million).
 	MaxTicks uint64
 	// Output receives println output; nil discards it.
@@ -102,15 +107,14 @@ type Machine struct {
 	output   func(string)
 
 	// profiling
-	prof      *Profile
-	depth     int // live call frames; guards against runaway recursion
-	stack     []Ref
-	target    Ref
-	hasTarget bool
-	inTarget  int // nesting count (recursive re-entry guards)
-	iter      int
-	topStmt   int
-	fnStack   []string
+	prof    *Profile
+	depth   int // live call frames; guards against runaway recursion
+	stack   []Ref
+	target  Ref // zero unless a TargetLoop run
+	deps    bool
+	tracks  map[Ref]*loopTrack // per tracked loop, for the whole run
+	live    []*loopTrack       // tracks with a live outermost activation
+	fnStack []string
 
 	// bytecode engine state
 	engine  Engine
@@ -261,19 +265,42 @@ func (m *Machine) tick(cost uint64) {
 	}
 }
 
-// load/store fire trace events for cells inside the target loop.
+// load/store attribute an access to every live tracked loop.
 func (m *Machine) load(addr uint64) {
 	m.tick(1)
-	if m.prof != nil && m.inTarget > 0 {
-		m.prof.Mem = append(m.prof.Mem, MemEvent{Addr: addr, Kind: MemLoad, Iter: m.iter, TopStmt: m.topStmt})
+	if len(m.live) > 0 {
+		m.access(addr, MemLoad)
 	}
 }
 
 func (m *Machine) store(addr uint64) {
 	m.tick(1)
-	if m.prof != nil && m.inTarget > 0 {
-		m.prof.Mem = append(m.prof.Mem, MemEvent{Addr: addr, Kind: MemStore, Iter: m.iter, TopStmt: m.topStmt})
+	if len(m.live) > 0 {
+		m.access(addr, MemStore)
 	}
+}
+
+// startRun resets the per-run state both engines share.
+func (m *Machine) startRun(opts Options, prof *Profile) {
+	m.clock = 0
+	m.maxTicks = opts.MaxTicks
+	if m.maxTicks == 0 {
+		m.maxTicks = 200_000_000
+	}
+	m.output = opts.Output
+	m.prof = prof
+	m.deps = opts.Dependences
+	m.target = Ref{}
+	if !m.deps {
+		m.target = opts.TargetLoop
+	}
+	m.tracks = nil
+	if m.deps || m.target != (Ref{}) {
+		m.tracks = make(map[Ref]*loopTrack)
+	}
+	m.live = m.live[:0]
+	m.stack = m.stack[:0]
+	m.fnStack = m.fnStack[:0]
 }
 
 // runTree executes the named function on the reference tree-walking
@@ -283,24 +310,11 @@ func (m *Machine) runTree(fnName string, args []Value, opts Options) (results []
 	if fn == nil {
 		return nil, nil, fmt.Errorf("interp: function %q not found", fnName)
 	}
-	m.clock = 0
-	m.maxTicks = opts.MaxTicks
-	if m.maxTicks == 0 {
-		m.maxTicks = 200_000_000
-	}
-	m.output = opts.Output
-	m.prof = &Profile{
+	m.startRun(opts, &Profile{
 		Incl:  make(map[Ref]uint64),
 		Self:  make(map[Ref]uint64),
 		Count: make(map[Ref]uint64),
-	}
-	m.target = opts.TargetLoop
-	m.hasTarget = opts.TargetLoop != Ref{}
-	m.inTarget = 0
-	m.iter = 0
-	m.topStmt = -1
-	m.stack = m.stack[:0]
-	m.fnStack = m.fnStack[:0]
+	})
 
 	defer func() {
 		if r := recover(); r != nil {
@@ -317,6 +331,7 @@ func (m *Machine) runTree(fnName string, args []Value, opts Options) (results []
 
 	ret := m.callFunction(fn, nil, args)
 	m.prof.Total = m.clock
+	m.prof.Loops = m.loopDeps()
 	return ret, m.prof, nil
 }
 

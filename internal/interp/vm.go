@@ -26,8 +26,8 @@ type slotCell struct {
 // loopState is the per-activation state of one loop (indexed by static
 // nesting depth within the unit).
 type loopState struct {
-	entered bool // this activation is the traced target loop
-	rng     rangeIter
+	track *loopTrack // nil unless the run profiles this loop
+	rng   rangeIter
 }
 
 // vmState is the reusable execution state of the bytecode engine; it
@@ -114,20 +114,7 @@ func clearValues(s []Value) []Value {
 // m.tick skips its per-ref attribution (the VM keeps its own dense
 // counters) while still advancing the clock and checking the budget.
 func (m *Machine) runVM(vmc *vmCompiled, fnName string, args []Value, opts Options) (results []Value, prof *Profile, err error) {
-	m.clock = 0
-	m.maxTicks = opts.MaxTicks
-	if m.maxTicks == 0 {
-		m.maxTicks = 200_000_000
-	}
-	m.output = opts.Output
-	m.prof = &Profile{}
-	m.target = opts.TargetLoop
-	m.hasTarget = opts.TargetLoop != Ref{}
-	m.inTarget = 0
-	m.iter = 0
-	m.topStmt = -1
-	m.stack = m.stack[:0]
-	m.fnStack = m.fnStack[:0]
+	m.startRun(opts, &Profile{})
 
 	vm := m.vm
 	if vm == nil || vm.vmc != vmc {
@@ -154,6 +141,7 @@ func (m *Machine) runVM(vmc *vmCompiled, fnName string, args []Value, opts Optio
 	vm.flushPend()
 	m.prof.Total = m.clock
 	m.prof.Incl, m.prof.Self, m.prof.Count = vm.profileMaps()
+	m.prof.Loops = m.loopDeps()
 	return ret, m.prof, nil
 }
 
@@ -957,29 +945,16 @@ loop:
 			break loop
 
 		case opLoopEnter:
-			ls := &vm.loops[lbase+int(op.B)]
-			ls.entered = m.hasTarget && m.target.Fn == code.Name && m.target.Stmt == int(op.A)
-			if ls.entered {
-				m.inTarget++
-				if m.inTarget == 1 {
-					m.iter = 0
-				}
-			}
+			vm.loops[lbase+int(op.B)].track = m.enterLoop(Ref{Fn: code.Name, Stmt: int(op.A)})
 		case opLoopLeave:
-			ls := &vm.loops[lbase+int(op.A)]
-			if ls.entered {
-				if m.inTarget == 1 {
-					m.prof.TargetIters = m.iter
-				}
-				m.inTarget--
-			}
+			m.leaveLoop(vm.loops[lbase+int(op.A)].track)
 		case opIterInc:
-			if vm.loops[lbase+int(op.A)].entered && m.inTarget == 1 {
-				m.iter++
+			if t := vm.loops[lbase+int(op.A)].track; t.outermost() {
+				t.iter++
 			}
 		case opSetTop:
-			if vm.loops[lbase+int(op.A)].entered && m.inTarget == 1 {
-				m.topStmt = int(op.B)
+			if t := vm.loops[lbase+int(op.A)].track; t.outermost() {
+				t.top = int(op.B)
 			}
 		case opRangeStart:
 			ls := &vm.loops[lbase+int(op.A)]

@@ -106,25 +106,19 @@ func Build(prog *source.Program) *Model {
 	return m
 }
 
-// EnrichDynamic executes the workload once per reachable loop with
-// that loop as the tracing target, plus one untraced run for the
-// hot-loop ranking, and attaches the dynamic summaries to the model.
-// Loops the workload never executes keep a nil Dynamic.
+// EnrichDynamic executes the workload once, pairing the memory
+// accesses of every loop during that run, and attaches the dynamic
+// summaries and hot-loop shares to the model. Loops the workload never
+// executes keep a nil Dynamic.
 func (m *Model) EnrichDynamic(w Workload) error {
 	if w.Entry == "" || w.Args == nil {
 		return fmt.Errorf("model: workload needs Entry and Args")
 	}
-	newMachine := func() *interp.Machine {
-		im := interp.NewMachine(m.Prog)
-		if w.Configure != nil {
-			w.Configure(im)
-		}
-		return im
+	im := interp.NewMachine(m.Prog)
+	if w.Configure != nil {
+		w.Configure(im)
 	}
-
-	// Ranking run.
-	im := newMachine()
-	_, prof, err := im.Run(w.Entry, w.Args(im), interp.Options{MaxTicks: w.MaxTicks})
+	_, prof, err := im.Run(w.Entry, w.Args(im), interp.Options{Dependences: true, MaxTicks: w.MaxTicks})
 	if err != nil {
 		return fmt.Errorf("model: workload run: %w", err)
 	}
@@ -133,24 +127,13 @@ func (m *Model) EnrichDynamic(w Workload) error {
 	for _, h := range profile.HotLoops(prof, m.Prog) {
 		hot[h.Ref] = h.Share
 	}
-
-	// Per-loop traced runs.
 	for _, fm := range m.Funcs {
 		for _, lm := range fm.Loops {
 			ref := interp.Ref{Fn: fm.Fn.Name, Stmt: lm.LoopID}
 			lm.HotShare = hot[ref]
-			if prof.Count[ref] == 0 {
-				continue // never executed: no dynamic information
+			if prof.Count[ref] > 0 {
+				lm.Dynamic = profile.Loop(prof, fm.Fn, lm.Loop)
 			}
-			im := newMachine()
-			_, lprof, err := im.Run(w.Entry, w.Args(im), interp.Options{
-				TargetLoop: ref,
-				MaxTicks:   w.MaxTicks,
-			})
-			if err != nil {
-				return fmt.Errorf("model: traced run for %s#%d: %w", ref.Fn, ref.Stmt, err)
-			}
-			lm.Dynamic = profile.AnalyzeLoop(lprof, fm.Fn, lm.Loop)
 		}
 	}
 	m.Profiled = true

@@ -104,8 +104,14 @@ func TestAllLoopsDeterministicOrder(t *testing.T) {
 
 func TestEnrichDynamic(t *testing.T) {
 	m := build(t)
-	if err := m.EnrichDynamic(workload()); err != nil {
+	w := workload()
+	configured := 0
+	w.Configure = func(*interp.Machine) { configured++ }
+	if err := m.EnrichDynamic(w); err != nil {
 		t.Fatal(err)
+	}
+	if configured != 1 {
+		t.Fatalf("Configure ran %d times, want 1: enrichment is one run", configured)
 	}
 	if !m.Profiled || m.TotalTime == 0 {
 		t.Fatal("enrichment did not profile")

@@ -6,14 +6,16 @@
 // dependence profilers like SD3 (Kim et al., MICRO'10, cited by the
 // paper as [34]): every traced address keeps its last writer and last
 // reader; a later access from a different iteration forms a carried
-// dependence edge between the two top-level loop-body statements.
+// dependence edge between the two top-level loop-body statements. The
+// interpreter pairs the accesses of every loop in one run (Loop);
+// AnalyzeLoop repeats the pairing offline over one loop's memory trace
+// as the reference.
 // Because the analysis sees only executed iterations, its verdicts are
 // *optimistic* — exactly the paper's trade-off, backed by generated
 // correctness tests instead of proofs.
 package profile
 
 import (
-	"fmt"
 	"go/ast"
 	"sort"
 
@@ -22,42 +24,21 @@ import (
 )
 
 // DepKind mirrors the classic dependence taxonomy.
-type DepKind int
+type DepKind = interp.DepKind
 
 const (
 	// Flow is read-after-write across iterations.
-	Flow DepKind = iota
+	Flow = interp.DepFlow
 	// Anti is write-after-read across iterations.
-	Anti
+	Anti = interp.DepAnti
 	// Output is write-after-write across iterations.
-	Output
+	Output = interp.DepOutput
 )
-
-// String returns the dependence-kind name.
-func (k DepKind) String() string {
-	switch k {
-	case Flow:
-		return "flow"
-	case Anti:
-		return "anti"
-	case Output:
-		return "output"
-	default:
-		return fmt.Sprintf("dep(%d)", int(k))
-	}
-}
 
 // CarriedPair is one observed loop-carried dependence between two
 // top-level body statements (ids are function-local statement ids;
 // -1 denotes loop-control context such as the condition).
-type CarriedPair struct {
-	FromStmt, ToStmt int
-	Kind             DepKind
-	// MinDistance is the smallest observed iteration distance.
-	MinDistance int
-	// Count is the number of dynamic instances.
-	Count int
-}
+type CarriedPair = interp.CarriedPair
 
 // LoopProfile is the dynamic summary of one executed loop.
 type LoopProfile struct {
@@ -101,14 +82,33 @@ func (lp *LoopProfile) HasCarried(stmt int) bool {
 	return false
 }
 
-// AnalyzeLoop derives the dynamic summary of the target loop from a
-// profile collected with Options.TargetLoop set to that loop. body
-// lists the loop's top-level body statements (from deps.LoopInfo or
-// directly from the AST).
+// Loop derives the dynamic summary of loop from a profile collected
+// with Options.Dependences set, which paired the accesses of every
+// loop during the run.
+func Loop(prof *interp.Profile, fn *source.Function, loop ast.Stmt) *LoopProfile {
+	lp := timing(prof, fn, loop)
+	lp.Carried = prof.Loops[lp.Loop].Carried
+	return lp
+}
+
+// AnalyzeLoop derives the same summary from a profile collected with
+// Options.TargetLoop set to loop, by pairing its memory trace. It is
+// the reference Loop is checked against (internal/difftest, the
+// corpus equivalence test), not the analysis path.
 func AnalyzeLoop(prof *interp.Profile, fn *source.Function, loop ast.Stmt) *LoopProfile {
+	lp := timing(prof, fn, loop)
+	lp.pairDependences(prof.Mem)
+	return lp
+}
+
+// timing fills everything but Carried: the iteration count and the
+// per-statement times, counts and shares of the loop's top-level body
+// statements.
+func timing(prof *interp.Profile, fn *source.Function, loop ast.Stmt) *LoopProfile {
+	ref := interp.Ref{Fn: fn.Name, Stmt: fn.StmtID(loop)}
 	lp := &LoopProfile{
-		Loop:     interp.Ref{Fn: fn.Name, Stmt: fn.StmtID(loop)},
-		Iters:    prof.TargetIters,
+		Loop:     ref,
+		Iters:    prof.Loops[ref].Iters,
 		InclTime: make(map[int]uint64),
 		Share:    make(map[int]float64),
 		Count:    make(map[int]uint64),
@@ -135,8 +135,6 @@ func AnalyzeLoop(prof *interp.Profile, fn *source.Function, loop ast.Stmt) *Loop
 			lp.Share[id] = float64(t) / float64(lp.BodyTime)
 		}
 	}
-
-	lp.pairDependences(prof.Mem)
 	return lp
 }
 

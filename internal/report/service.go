@@ -11,7 +11,7 @@ import (
 // way BottleneckTable renders the pattern layer: one queue/worker
 // summary line, the job ledger, end-to-end latency quantiles, and —
 // only when present — the distress signals (shed load, worker
-// restarts). It backs the /statusz page of `patty serve`.
+// restarts, journal write errors). It backs the /statusz page of `patty serve`.
 func ServiceTable(h obs.ServiceHealth) string {
 	var b strings.Builder
 	b.WriteString("=== job service (from internal/obs jobs.* keys) ===\n")
@@ -32,6 +32,9 @@ func ServiceTable(h obs.ServiceHealth) string {
 		}
 		if h.WorkerRestarts > 0 {
 			fmt.Fprintf(&b, "   %d worker restart(s) after job panics\n", h.WorkerRestarts)
+		}
+		if h.JournalErrs > 0 {
+			fmt.Fprintf(&b, "   %d journal write error(s) — durability at risk\n", h.JournalErrs)
 		}
 	} else {
 		b.WriteString("no distress: nothing shed, no worker crashes\n")

@@ -32,4 +32,11 @@ func TestServiceTableDistress(t *testing.T) {
 	if strings.Contains(out, "no distress") {
 		t.Fatalf("degraded service rendered calm:\n%s", out)
 	}
+
+	// Journal errors alone are distress too, and get their own line
+	// under the header.
+	out = ServiceTable(obs.ServiceHealth{QueueCap: 4, Workers: 1, Submitted: 3, Done: 3, JournalErrs: 2})
+	if !strings.Contains(out, "distress:\n   2 journal write error(s)") {
+		t.Fatalf("journal errors missing under the distress header:\n%s", out)
+	}
 }
